@@ -31,6 +31,7 @@ from .model import (
     has_bst_property,
     interference,
     is_valid,
+    verify_witness,
 )
 
 
@@ -140,9 +141,12 @@ def _read(path: str) -> str:
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -195,32 +199,28 @@ def _cmd_solve(args) -> int:
         witness = run_nna(instance, rounds)
         result = oracle.OracleResult(interference(instance, witness), witness)
         stats = {"rounds": len(rounds)}
-        if args.trace:
-            for i, comps in enumerate(rounds, start=1):
-                parts = " ".join(f"[{c.lo}-{c.hi}]@{c.sink}" for c in comps)
-                print(f"round {i}: {parts}")
 
     elapsed = time.monotonic() - t0
-    if not is_valid(instance, result.witness):
-        raise InvariantError("witness failed validation")
-    recomputed = interference(instance, result.witness)
-    if recomputed != result.optimum:
-        raise InvariantError(
-            f"witness interference {recomputed} != reported optimum {result.optimum}"
-        )
+    verify_witness(instance, result.witness, result.optimum)
 
-    report = RunReport(args.method, result.optimum, elapsed, args.witness_out, stats)
-    for line in report.lines(args.stats):
-        print(line)
+    # Files are written before anything reaches stdout, so a failed write
+    # leaves no partial report behind.
     witness_text = textio.format_assignment(result.witness)
     if args.witness_out:
         _write(args.witness_out, witness_text)
-    else:
-        sys.stdout.write(witness_text)
     if args.dot:
         if not isinstance(instance, Instance2D):
             raise InputError("--dot needs a 2D instance")
         _write(args.dot, textio.format_graph_dot(communication_graph_2d(instance, result.witness)))
+    if args.method == "nna" and args.trace:
+        for i, comps in enumerate(rounds, start=1):
+            parts = " ".join(f"[{c.lo}-{c.hi}]@{c.sink}" for c in comps)
+            print(f"round {i}: {parts}")
+    report = RunReport(args.method, result.optimum, elapsed, args.witness_out, stats)
+    for line in report.lines(args.stats):
+        print(line)
+    if not args.witness_out:
+        sys.stdout.write(witness_text)
     return 0
 
 

@@ -24,8 +24,8 @@ from .model import (
     Instance1D,
     Range,
     ReceiverAssignment,
-    interference,
-    is_valid,
+    cover_table,
+    verify_witness,
 )
 from .oracle import OracleResult
 
@@ -64,28 +64,13 @@ def _canonical(ranges) -> tuple[Range, ...]:
 
 class _Solver:
     def __init__(self, instance: Instance1D, bound: int):
-        self.pts = instance.points
         self.n = instance.n
         self.bound = bound
         self.memo: dict[Key, DpValue] = {}
         self.stats = DpStats()
         # cover[c][b] = inclusive index range covered by the ball (c, b); all
         # later geometry runs on these integer intervals.
-        pts = self.pts
-        n = self.n
-        self.cover: list[list[tuple[int, int]]] = []
-        for c in range(n):
-            row = []
-            for b in range(n):
-                rad = abs(pts[c] - pts[b])
-                lo = c
-                while lo > 0 and pts[c] - pts[lo - 1] <= rad:
-                    lo -= 1
-                hi = c
-                while hi < n - 1 and pts[hi + 1] - pts[c] <= rad:
-                    hi += 1
-                row.append((lo, hi))
-            self.cover.append(row)
+        self.cover = cover_table(instance)
         self._side_cache: dict[tuple, list] = {}
 
     def covers(self, rng: Range, idx: int) -> bool:
@@ -295,15 +280,6 @@ def _solve_with_bound(instance: Instance1D, bound: int) -> tuple[float, Receiver
     return best, witness, solver
 
 
-def _verified(instance: Instance1D, optimum: float, witness: ReceiverAssignment) -> OracleResult:
-    if not is_valid(instance, witness):
-        raise InvariantError("solver produced an invalid witness")
-    recomputed = interference(instance, witness)
-    if recomputed != optimum:
-        raise InvariantError(f"witness interference {recomputed} != reported optimum {optimum}")
-    return OracleResult(int(optimum), witness)
-
-
 def solve_exact(instance: Instance1D, stats: DpStats | None = None) -> OracleResult:
     """Optimum interference with a verified witness, over every root choice."""
     if instance.n == 1:
@@ -314,7 +290,8 @@ def solve_exact(instance: Instance1D, stats: DpStats | None = None) -> OracleRes
     if stats is not None:
         stats.subproblems = solver.stats.subproblems
         stats.memo_hits = solver.stats.memo_hits
-    return _verified(instance, optimum, witness)
+    verify_witness(instance, witness, optimum)
+    return OracleResult(int(optimum), witness)
 
 
 def solve_opt_search(instance: Instance1D, stats: DpStats | None = None) -> OracleResult:
@@ -328,5 +305,6 @@ def solve_opt_search(instance: Instance1D, stats: DpStats | None = None) -> Orac
             stats.subproblems += solver.stats.subproblems
             stats.memo_hits += solver.stats.memo_hits
         if witness is not None and optimum <= cap:
-            return _verified(instance, optimum, witness)
+            verify_witness(instance, witness, optimum)
+            return OracleResult(int(optimum), witness)
     raise InvariantError("no feasible decomposition within the maximum size cap")

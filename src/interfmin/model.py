@@ -1,10 +1,15 @@
 """Exact-arithmetic core model: point sets, receiver assignments, transmission
 ranges, interference, and the structural predicates shared by every solver.
 
-All coordinates are `fractions.Fraction`; every geometric comparison is exact
-(squared distances in 2D, coordinate differences in 1D).  Points are addressed
-by index: position in the sorted coordinate order for 1D instances, input
-order for 2D instances.
+Coordinates are stored as `fractions.Fraction`, but no solver compares them as
+Fractions.  Each instance lazily builds one integer view, `ints`: every
+coordinate times L, the least common multiple of all denominators in the
+instance (one L serves both axes in 2D).  Because L > 0, the view keeps the
+order of coordinates, the signs of their differences and the order of squared
+distances exactly, and those are the only things the model and the solvers
+ask of the geometry; so every coverage and distance test runs on Python ints,
+with no floats and no rounding.  Points are addressed by index: position in
+the sorted coordinate order for 1D instances, input order for 2D instances.
 """
 
 from __future__ import annotations
@@ -12,9 +17,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, NamedTuple, Union
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 
 Rational = Fraction
 
@@ -59,6 +67,12 @@ class Instance1D:
     def diameter(self) -> Fraction:
         return self.points[-1] - self.points[0]
 
+    @cached_property
+    def ints(self) -> tuple[int, ...]:
+        """Coordinates scaled to integers by the LCM of their denominators."""
+        scale = lcm(*(x.denominator for x in self.points))
+        return tuple(x.numerator * (scale // x.denominator) for x in self.points)
+
 
 @dataclass(frozen=True)
 class Instance2D:
@@ -78,6 +92,15 @@ class Instance2D:
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def ints(self) -> tuple[tuple[int, int], ...]:
+        """Points scaled to integers by one LCM of all denominators on both axes."""
+        scale = lcm(*(c.denominator for p in self.points for c in p))
+        return tuple(
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in self.points
+        )
 
 
 Instance = Union[Instance1D, Instance2D]
@@ -135,25 +158,34 @@ class ReceiverAssignment:
                 raise InputError("receiver map must cover every non-sink point")
 
 
-def dist2(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> Fraction:
+def dist2(p: tuple, q: tuple):
+    """Squared Euclidean distance; exact for int and Fraction coordinates."""
     dx = p[0] - q[0]
     dy = p[1] - q[1]
     return dx * dx + dy * dy
 
 
-def _radius2(instance: Instance, r: Range) -> Fraction:
-    if isinstance(instance, Instance1D):
-        d = instance.points[r.center] - instance.points[r.boundary]
-        return d * d
-    return dist2(instance.points[r.center], instance.points[r.boundary])
+def cover_interval(instance: Instance1D, center: int, boundary: int) -> tuple[int, int]:
+    """Inclusive index range covered by the ball centered at `center` with
+    `boundary` on its boundary."""
+    xs = instance.ints
+    c = xs[center]
+    rad = abs(c - xs[boundary])
+    return bisect_left(xs, c - rad), bisect_right(xs, c + rad) - 1
+
+
+def cover_table(instance: Instance1D) -> list[list[tuple[int, int]]]:
+    """cover[c][b] = cover_interval(instance, c, b) for every pair of points."""
+    return [[cover_interval(instance, c, b) for b in range(instance.n)] for c in range(instance.n)]
 
 
 def covers(instance: Instance, r: Range, point_id: int) -> bool:
     """Exact closed-ball membership test."""
     if isinstance(instance, Instance1D):
-        d = instance.points[r.center] - instance.points[point_id]
-        return d * d <= _radius2(instance, r)
-    return dist2(instance.points[r.center], instance.points[point_id]) <= _radius2(instance, r)
+        lo, hi = cover_interval(instance, r.center, r.boundary)
+        return lo <= point_id <= hi
+    pts = instance.ints
+    return dist2(pts[r.center], pts[point_id]) <= dist2(pts[r.center], pts[r.boundary])
 
 
 def balls(instance: Instance, assignment: ReceiverAssignment) -> list[Range]:
@@ -172,7 +204,7 @@ def communication_graph_2d(
     if assignment.model != ASYM2D:
         raise InputError("communication_graph_2d needs an asym2d assignment")
     assignment.check_for(instance)
-    pts = instance.points
+    pts = instance.ints
     out: list[list[int]] = []
     for p in range(instance.n):
         r2 = dist2(pts[p], pts[assignment.receiver[p]])
@@ -237,24 +269,24 @@ def is_valid(instance: Instance, assignment: ReceiverAssignment) -> bool:
 
 def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[int]:
     """Number of transmission ranges covering each point (own ball included)."""
-    rs = balls(instance, assignment)
+    assignment.check_for(instance)
     n = instance.n
     if isinstance(instance, Instance1D):
-        pts = instance.points
         delta = [0] * (n + 1)
-        for r in rs:
-            rad = abs(pts[r.center] - pts[r.boundary])
-            lo = bisect_left(pts, pts[r.center] - rad)
-            hi = bisect_right(pts, pts[r.center] + rad) - 1
+        for center, boundary in assignment.receiver.items():
+            lo, hi = cover_interval(instance, center, boundary)
             delta[lo] += 1
             delta[hi + 1] -= 1
-        counts = []
-        acc = 0
-        for i in range(n):
-            acc += delta[i]
-            counts.append(acc)
-        return counts
-    return [sum(1 for r in rs if covers(instance, r, p)) for p in range(n)]
+        return list(accumulate(delta[:n]))
+    pts = instance.ints
+    counts = [0] * n
+    for center, boundary in assignment.receiver.items():
+        c = pts[center]
+        r2 = dist2(c, pts[boundary])
+        for p in range(n):
+            if dist2(c, pts[p]) <= r2:
+                counts[p] += 1
+    return counts
 
 
 def interference_at(instance: Instance, assignment: ReceiverAssignment, point_id: int) -> int:
@@ -266,6 +298,15 @@ def interference_at(instance: Instance, assignment: ReceiverAssignment, point_id
 def interference(instance: Instance, assignment: ReceiverAssignment) -> int:
     """Maximum number of transmission ranges covering any point of the instance."""
     return max(coverage_counts(instance, assignment), default=0)
+
+
+def verify_witness(instance: Instance, witness: ReceiverAssignment, optimum: int) -> None:
+    """Raise InvariantError unless `witness` is valid with interference `optimum`."""
+    if not is_valid(instance, witness):
+        raise InvariantError("witness failed validation")
+    recomputed = interference(instance, witness)
+    if recomputed != optimum:
+        raise InvariantError(f"witness interference {recomputed} != reported optimum {optimum}")
 
 
 def _require_valid_tree(instance: Instance1D, assignment: ReceiverAssignment) -> None:

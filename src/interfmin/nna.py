@@ -31,14 +31,14 @@ class Component:
 
 def _successor(instance: Instance1D, comp: Component) -> int:
     """Closest point to the component sink outside the component interval."""
-    pts = instance.points
+    xs = instance.ints
     left = comp.lo - 1
     right = comp.hi + 1
     if left < 0:
         return right
     if right >= instance.n:
         return left
-    if pts[comp.sink] - pts[left] <= pts[right] - pts[comp.sink]:
+    if xs[comp.sink] - xs[left] <= xs[right] - xs[comp.sink]:
         return left  # ties go to the smaller coordinate
     return right
 
@@ -48,6 +48,7 @@ def nna_round(instance: Instance1D, components: list[Component]) -> list[Compone
     k = len(components)
     if k < 2:
         raise InputError("a merging round needs at least two components")
+    xs = instance.ints
     succ_point = [_successor(instance, c) for c in components]
     succ_comp = [i - 1 if succ_point[i] < components[i].lo else i + 1 for i in range(k)]
 
@@ -73,12 +74,11 @@ def nna_round(instance: Instance1D, components: list[Component]) -> list[Compone
         hi = components[b].hi
 
         def distinct(sink: int) -> bool:
-            pts = instance.points
             dists = []
             if r > 0:
-                dists.append(pts[sink] - pts[components[runs[r - 1][1]].hi])
+                dists.append(xs[sink] - xs[components[runs[r - 1][1]].hi])
             if r < len(runs) - 1:
-                dists.append(pts[components[runs[r + 1][0]].lo] - pts[sink])
+                dists.append(xs[components[runs[r + 1][0]].lo] - xs[sink])
             return len(dists) < 2 or dists[0] != dists[1]
 
         left_sink = components[i].sink

@@ -19,9 +19,8 @@ from .model import (
     Instance1D,
     Instance2D,
     ReceiverAssignment,
+    cover_table,
     dist2,
-    interference,
-    is_valid,
 )
 
 DEFAULT_CAP_1D = 9
@@ -42,27 +41,6 @@ def _check_cap(n: int, cap: int, what: str) -> None:
         )
 
 
-def _cover_table_1d(instance: Instance1D) -> list[list[tuple[int, int]]]:
-    """cover[p][q] = inclusive index range covered by the ball centered at p
-    with q on the boundary."""
-    pts = instance.points
-    n = instance.n
-    table = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            rad = abs(pts[p] - pts[q])
-            lo = p
-            while lo > 0 and pts[p] - pts[lo - 1] <= rad:
-                lo -= 1
-            hi = p
-            while hi < n - 1 and pts[hi + 1] - pts[p] <= rad:
-                hi += 1
-            row.append((lo, hi))
-        table.append(row)
-    return table
-
-
 def _would_cycle(parent: list[int | None], tail: int, head: int) -> bool:
     v: int | None = head
     while v is not None and v != tail:
@@ -80,7 +58,7 @@ def brute_force_1d(
     if n == 1:
         return OracleResult(0, ReceiverAssignment(SINKTREE1D, {}, 0), 1 if count_optimal else None)
 
-    cover = _cover_table_1d(instance)
+    cover = cover_table(instance)
     counts = [0] * n
     parent: list[int | None] = [None] * n
     best = n + 1  # any valid assignment has interference <= n - 1
@@ -133,7 +111,7 @@ def enumerate_optimal_1d(
         yield ReceiverAssignment(SINKTREE1D, {}, 0)
         return
     opt = brute_force_1d(instance, cap=cap).optimum
-    cover = _cover_table_1d(instance)
+    cover = cover_table(instance)
     counts = [0] * n
     parent: list[int | None] = [None] * n
 
@@ -172,7 +150,7 @@ def brute_force_2d(instance: Instance2D, cap: int = DEFAULT_CAP_2D) -> OracleRes
         raise InputError("2D brute force needs at least two points")
     _check_cap(n, cap, "2D brute force")
 
-    pts = instance.points
+    pts = instance.ints
     d2 = [[dist2(pts[p], pts[q]) for q in range(n)] for p in range(n)]
     # covered[p][q]: points inside the ball centered p with q on the boundary;
     # out_nbrs[p][q]: communication edges from p under N(p) = q.
@@ -232,8 +210,3 @@ def brute_force_2d(instance: Instance2D, cap: int = DEFAULT_CAP_2D) -> OracleRes
         raise CapExceededError("no strongly connected assignment exists")  # unreachable for n >= 2
     witness = ReceiverAssignment(ASYM2D, {p: best_choice[p] for p in range(n)})
     return OracleResult(best, witness)
-
-
-def verify_result(instance, result: OracleResult) -> bool:
-    """Independent recomputation of the witness value (used by the CLI)."""
-    return is_valid(instance, result.witness) and interference(instance, result.witness) == result.optimum

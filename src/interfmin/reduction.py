@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CapExceededError, InputError, InvariantError
 from .model import ASYM2D, Instance2D, ReceiverAssignment, as_rational, communication_graph_2d, dist2
@@ -104,9 +105,13 @@ class ReductionOutput:
     partner: dict[int, int]
     layouts: dict[Vertex, GadgetLayout] = field(default_factory=dict)
 
+    @cached_property
+    def _base_index(self) -> dict[Vertex, int]:
+        """Index of each gadget's first point; gadgets follow sorted vertex order."""
+        return {v: i * len(ROLE_ORDER) for i, v in enumerate(sorted(self.layouts))}
+
     def index_of(self, vertex: Vertex, role: str) -> int:
-        base = sorted(self.layouts).index(vertex) * len(ROLE_ORDER)
-        return base + ROLE_ORDER.index(role)
+        return self._base_index[vertex] + ROLE_ORDER.index(role)
 
 
 def build_gadget(vertex: Vertex, incident_dirs, epsilon=DEFAULT_EPSILON) -> GadgetLayout:

@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import interfmin
 from interfmin.cli import main
 from interfmin.textio import format_assignment, parse_assignment
+
+SRC = str(Path(interfmin.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -34,6 +42,36 @@ def test_solve_verifies_witness(tmp_path, capsys):
     assert f"witness_path: {wit}" in out
     text = wit.read_text()
     assert format_assignment(parse_assignment(text)) == text
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught exception would show
+    up as a traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "interfmin.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_solve_witness_out_into_missing_directory(tmp_path):
+    inst = tmp_path / "i.txt"
+    inst.write_text("0\n1\n3\n4\n")
+    target = tmp_path / "missing" / "w.txt"
+    code, out, err = run_process("solve", "--method", "nna", "--trace", str(inst), "--witness-out", str(target))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot write {target}:")
+
+
+def test_gen_out_into_missing_directory(tmp_path):
+    target = tmp_path / "missing" / "r.txt"
+    code, out, err = run_process("gen", "random", "5", "--seed", "1", "-o", str(target))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot write {target}:")
 
 
 def test_check_bends_on_q3_witness(tmp_path, capsys):

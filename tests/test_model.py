@@ -16,6 +16,7 @@ from interfmin.model import (
     balls,
     communication_graph_2d,
     count_bends,
+    cover_table,
     coverage_counts,
     cross_edges,
     has_bst_property,
@@ -24,6 +25,7 @@ from interfmin.model import (
     is_valid,
     scale_instance,
 )
+from interfmin.nna import nna
 
 TRIANGLE = Instance2D.from_values([(0, 0), (1, 0), (0, 1)])
 TRIANGLE_N = ReceiverAssignment(ASYM2D, {0: 1, 1: 2, 2: 0})
@@ -231,3 +233,138 @@ def test_scaling_invariance_2d():
     scaled = scale_instance(TRIANGLE, Fraction(7, 3))
     assert interference(scaled, TRIANGLE_N) == interference(TRIANGLE, TRIANGLE_N)
     assert is_valid(scaled, TRIANGLE_N)
+
+
+# --- the integer view against a Fraction-only reference -------------------
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def naive_d2(inst, p, q):
+    """Squared distance computed on the Fraction coordinates."""
+    a, b = inst.points[p], inst.points[q]
+    if isinstance(inst, Instance1D):
+        return (a - b) ** 2
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+
+
+def naive_counts(inst, a):
+    return [
+        sum(1 for c, b in a.receiver.items() if naive_d2(inst, c, p) <= naive_d2(inst, c, b))
+        for p in range(inst.n)
+    ]
+
+
+def naive_graph(inst, a):
+    return [
+        [q for q in range(inst.n) if q != p and naive_d2(inst, p, q) <= naive_d2(inst, p, a.receiver[p])]
+        for p in range(inst.n)
+    ]
+
+
+def naive_valid(inst, a):
+    n = inst.n
+    if isinstance(inst, Instance1D):
+        reaches = []
+        for p in range(n):
+            v = p
+            for _ in range(n):
+                if v == a.sink:
+                    break
+                v = a.receiver[v]
+            reaches.append(v == a.sink)
+        return all(reaches)
+    graph = naive_graph(inst, a)
+    reach = [{p} for p in range(n)]
+    for _ in range(n):
+        reach = [r.union(*(graph[q] for q in r)) for r in reach]
+    return all(len(r) == n for r in reach)
+
+
+@st.composite
+def instance_and_map(draw):
+    """A 1D or 2D instance with mixed denominators and negative coordinates,
+    plus a receiver map that need not be valid."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    if draw(st.booleans()):
+        inst = Instance1D.from_values(draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True)))
+        sink = draw(st.integers(min_value=0, max_value=n - 1))
+        tag, heads = SINKTREE1D, [p for p in range(n) if p != sink]
+    else:
+        pts = draw(st.lists(st.tuples(RATIONALS, RATIONALS), min_size=n, max_size=n, unique=True))
+        inst = Instance2D.from_values(pts)
+        sink, tag, heads = None, ASYM2D, list(range(n))
+    receiver = {}
+    for p in heads:
+        q = draw(st.integers(min_value=0, max_value=n - 2))
+        receiver[p] = q if q < p else q + 1
+    return inst, ReceiverAssignment(tag, receiver, sink)
+
+
+def ints_results(inst, a):
+    """Everything the model derives from `inst.ints` for this map."""
+    at = [interference_at(inst, a, p) for p in range(inst.n)]
+    if isinstance(inst, Instance2D):
+        geometry = communication_graph_2d(inst, a)
+    else:
+        geometry = cover_table(inst)
+    return coverage_counts(inst, a), at, is_valid(inst, a), geometry
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_and_map(), st.fractions(min_value=Fraction(1, 50), max_value=50))
+def test_integer_view_matches_fraction_reference(pair, factor):
+    inst, a = pair
+    counts = naive_counts(inst, a)
+    assert coverage_counts(inst, a) == counts
+    assert [interference_at(inst, a, p) for p in range(inst.n)] == counts
+    assert is_valid(inst, a) == naive_valid(inst, a)
+    if isinstance(inst, Instance2D):
+        assert communication_graph_2d(inst, a) == naive_graph(inst, a)
+    assert ints_results(scale_instance(inst, factor), a) == ints_results(inst, a)
+
+
+def while_loop_cover_table(instance):
+    """The cover table as the oracle and the DP built it before the integer view."""
+    pts = instance.points
+    n = instance.n
+    table = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            rad = abs(pts[p] - pts[q])
+            lo = p
+            while lo > 0 and pts[p] - pts[lo - 1] <= rad:
+                lo -= 1
+            hi = p
+            while hi < n - 1 and pts[hi + 1] - pts[p] <= rad:
+                hi += 1
+            row.append((lo, hi))
+        table.append(row)
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RATIONALS, min_size=1, max_size=9, unique=True))
+def test_cover_table_matches_while_loop_table(coords):
+    inst = Instance1D.from_values(coords)
+    assert cover_table(inst) == while_loop_cover_table(inst)
+
+
+def test_integer_view_scales_by_the_lcm():
+    inst = Instance1D.from_values(["-1/2", "1/3", 2])
+    assert inst.ints == (-3, 2, 12)
+    assert inst.points == (Fraction(-1, 2), Fraction(1, 3), 2)
+    plane = Instance2D.from_values([("1/4", 0), (1, "-1/6")])
+    assert plane.ints == ((3, 0), (12, -2))
+    assert plane == Instance2D.from_values([("1/4", 0), (1, "-1/6")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(RATIONALS, min_size=2, max_size=40, unique=True),
+    st.fractions(min_value=Fraction(1, 50), max_value=50),
+)
+def test_nna_is_scale_invariant(coords, factor):
+    inst = Instance1D.from_values(coords)
+    assert nna(scale_instance(inst, factor)) == nna(inst)
