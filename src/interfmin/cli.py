@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--method", required=True, choices=("oracle", "dp", "dp-optsearch", "nna"))
     solve.add_argument("instance")
     solve.add_argument("--witness-out")
-    solve.add_argument("--cap", type=int, help="override the oracle enumeration cap")
+    solve.add_argument("--cap", type=int, help="largest n the oracle and dp solvers accept")
     solve.add_argument("--stats", action="store_true")
     solve.add_argument("--trace", action="store_true", help="print per-round partitions (nna)")
     solve.add_argument("--dot", help="write the witness communication graph (2D only)")
@@ -190,7 +190,8 @@ def _cmd_solve(args) -> int:
             raise InputError("the dp solvers need a 1D instance")
         dp_stats = dpsolve.DpStats()
         solver = dpsolve.solve_exact if args.method == "dp" else dpsolve.solve_opt_search
-        result = solver(instance, dp_stats)
+        cap = args.cap if args.cap is not None else dpsolve.DEFAULT_CAP_DP
+        result = solver(instance, dp_stats, cap=cap)
         stats = {"subproblems": dp_stats.subproblems, "memo_hits": dp_stats.memo_hits}
     else:
         if not isinstance(instance, Instance1D):

@@ -9,6 +9,17 @@ enumerating consistent child subproblems yields the optimum; memoization keys
 on the canonical encoding.  Because optimal instances never need more than
 ceil(log2 n) + 2 ranges covering a boundary point, range sets are capped at
 that size, which keeps the subproblem space quasi-polynomial.
+
+The search is branch and bound under a value limit L: a subproblem returns
+its exact value if that is at most L, else some lower bound above L.  Exact
+values go to the memo, "value > L" to a dict of lower bounds that answers
+later calls with a limit up to L.  A split is dropped once its root coverage
+or a child's value exceeds the best value so far (minus one if the split
+would lose the tie-break on its encoding), so the chosen decomposition is the
+one an unlimited search picks.  `solve_exact` deepens the limit 1, 2, ... on
+one solver until some root meets it; `solve_opt_search` uses each size cap as
+the limit; `solve_subproblem` is unlimited.  `DpStats.subproblems` counts
+every computation, recomputations under a larger limit included.
 """
 
 from __future__ import annotations
@@ -27,11 +38,15 @@ from .model import (
     cover_table,
     verify_witness,
 )
-from .oracle import OracleResult
+from .oracle import OracleResult, _check_cap
 
 Key = tuple  # (lo, hi, root, incoming tuple, outgoing tuple)
 
 INFEASIBLE = math.inf
+
+# Largest n the DP solvers accept by default; larger instances are refused
+# rather than left to run for minutes.
+DEFAULT_CAP_DP = 10
 
 
 @dataclass(frozen=True)
@@ -63,15 +78,18 @@ def _canonical(ranges) -> tuple[Range, ...]:
 
 
 class _Solver:
-    def __init__(self, instance: Instance1D, bound: int):
-        self.n = instance.n
+    def __init__(self, instance: Instance1D, bound: int, stats: DpStats | None = None):
+        self.instance = instance
         self.bound = bound
         self.memo: dict[Key, DpValue] = {}
-        self.stats = DpStats()
+        # lower[key] = L records that the subproblem's value exceeds L.
+        self.lower: dict[Key, int] = {}
+        self.stats = DpStats() if stats is None else stats
         # cover[c][b] = inclusive index range covered by the ball (c, b); all
         # later geometry runs on these integer intervals.
         self.cover = cover_table(instance)
         self._side_cache: dict[tuple, list] = {}
+        self._extra_cache: dict[tuple, dict[int, list[Range]]] = {}
 
     def covers(self, rng: Range, idx: int) -> bool:
         lo, hi = self.cover[rng.center][rng.boundary]
@@ -89,28 +107,39 @@ class _Solver:
         clo, chi = self.cover[rng.center][rng.boundary]
         return clo < lo or chi > hi
 
-    def solve(self, sub: Subproblem) -> DpValue:
+    def solve(self, sub: Subproblem, limit=INFEASIBLE) -> DpValue:
+        """The exact value if it is at most limit, else a lower bound above
+        limit."""
         key = sub.key()
         hit = self.memo.get(key)
+        if hit is None:
+            known = self.lower.get(key)
+            if known is not None and known >= limit:
+                hit = DpValue(known + 1)
         if hit is not None:
             self.stats.memo_hits += 1
             return hit
         self.stats.subproblems += 1
-        value = self._compute(sub)
+        value, cut = self._compute(sub, limit)
+        if value.interference == INFEASIBLE and cut:
+            self.lower[key] = limit
+            return DpValue(limit + 1)
         self.memo[key] = value
         return value
 
-    def _compute(self, sub: Subproblem) -> DpValue:
+    def _compute(self, sub: Subproblem, limit) -> tuple[DpValue, bool]:
+        """Best split with value at most limit, and whether a split was cut
+        off at the limit (rather than found infeasible)."""
         lo, hi, root = sub.lo, sub.hi, sub.root
         root_ranges = [r for r in sub.outgoing if r.center == root]
         if len(root_ranges) > 1:
-            return DpValue(INFEASIBLE)  # the root owns a single ball
+            return DpValue(INFEASIBLE), False  # the root owns a single ball
 
         if lo == hi:
             # Leaf: the only admissible outgoing set is the root's parent edge.
             if len(sub.outgoing) == 1 and root_ranges:
-                return DpValue(len(sub.incoming) + 1)
-            return DpValue(INFEASIBLE)
+                return DpValue(len(sub.incoming) + 1), False
+            return DpValue(INFEASIBLE), False
 
         root_range = root_ranges[0] if root_ranges else None
         left_options = self._side_options(sub, lo, root - 1)
@@ -121,6 +150,7 @@ class _Solver:
 
         best = DpValue(INFEASIBLE)
         best_enc = None
+        cut = False
         for l_root, l_out in left_options:
             for r_root, r_out in right_options:
                 left_key = self._child_key(sub, lo, root - 1, l_root, l_out, r_out, root_range)
@@ -129,28 +159,29 @@ class _Solver:
                 right_key = self._child_key(sub, root + 1, hi, r_root, r_out, l_out, root_range)
                 if right_key is False:
                     continue
-                value = base_cover + sum(1 for r in l_out + r_out if self.covers(r, root))
-                if value > best.interference:
-                    continue  # coverage at the root alone is already worse
-                feasible = True
-                for child_key in (left_key, right_key):
-                    if child_key is None:
-                        continue
-                    child_value = self.solve(Subproblem(*child_key)).interference
-                    if child_value > value:
-                        value = child_value
-                    if value > best.interference:
-                        feasible = False
-                        break
-                if not feasible or value == INFEASIBLE:
-                    continue
                 enc = (left_key or (), right_key or ())
-                if value < best.interference or (
-                    value == best.interference and enc < best_enc
-                ):
-                    best = DpValue(value, (left_key, right_key))
-                    best_enc = enc
-        return best
+                # Ties go to the smallest encoding, so a split that would lose
+                # the tie must beat the best value outright.
+                if best_enc is None:
+                    cap = limit
+                else:
+                    cap = min(limit, best.interference if enc < best_enc else best.interference - 1)
+                value = base_cover + sum(1 for r in l_out + r_out if self.covers(r, root))
+                for child_key in (left_key, right_key):
+                    if value > cap:
+                        break
+                    if child_key is not None:
+                        value = max(value, self.solve(Subproblem(*child_key), cap).interference)
+                if value == INFEASIBLE:
+                    continue
+                if value > cap:
+                    # Only an infeasible result needs to know about cuts, and
+                    # then every cap was the full limit.
+                    cut = True
+                    continue
+                best = DpValue(value, (left_key, right_key))
+                best_enc = enc
+        return best, cut
 
     def _side_options(self, sub: Subproblem, lo: int, hi: int):
         """Enumerate (child root, child outgoing set) choices for one side."""
@@ -161,6 +192,7 @@ class _Solver:
         cached = self._side_cache.get(cache_key)
         if cached is not None:
             return cached
+        candidates = self._extra_candidates(sub, lo, hi)
         options = []
         for child_root in range(lo, hi + 1):
             conflict = any(r.center == child_root and r.boundary != sub.root for r in inherited)
@@ -172,23 +204,7 @@ class _Solver:
             base = set(inherited)
             base.add(edge)
             taken_centers = {r.center for r in base}
-            # Optional extra ranges: balls of future edges inside this side that
-            # reach into the rest of the interval but never leave it.
-            candidates: dict[int, list[Range]] = {}
-            for center in range(lo, hi + 1):
-                if center in taken_centers:
-                    continue
-                for boundary in range(lo, hi + 1):
-                    if boundary == center:
-                        continue
-                    rng = Range(center, boundary)
-                    if self._reaches_rest(rng, sub, lo, hi) and not self.escapes(
-                        rng, sub.lo, sub.hi
-                    ):
-                        candidates.setdefault(center, []).append(rng)
-            for center in candidates:
-                candidates[center].sort()
-            centers = sorted(candidates)
+            centers = [c for c in candidates if c not in taken_centers]
             max_extra = self.bound - len(base)
             for count in range(0, min(len(centers), max_extra) + 1):
                 for chosen in combinations(centers, count):
@@ -198,11 +214,23 @@ class _Solver:
         self._side_cache[cache_key] = options
         return options
 
-    def _reaches_rest(self, rng: Range, sub: Subproblem, lo: int, hi: int) -> bool:
-        """Ball covers a point of the parent interval outside [lo, hi]."""
-        if hi < sub.hi and self.covers_any(rng, hi + 1, sub.hi):
-            return True
-        return lo > sub.lo and self.covers_any(rng, sub.lo, lo - 1)
+    def _extra_candidates(self, sub: Subproblem, lo: int, hi: int) -> dict[int, list[Range]]:
+        """Optional extra ranges for the side [lo, hi], by center in ascending
+        order: balls of future edges inside this side that reach into the rest
+        of the interval but never leave it."""
+        cache_key = (lo, hi, sub.lo, sub.hi)
+        candidates = self._extra_cache.get(cache_key)
+        if candidates is None:
+            candidates = {}
+            for center in range(lo, hi + 1):
+                for boundary in range(lo, hi + 1):
+                    rng = Range(center, boundary)
+                    if boundary != center and self.escapes(rng, lo, hi) and not self.escapes(
+                        rng, sub.lo, sub.hi
+                    ):
+                        candidates.setdefault(center, []).append(rng)
+            self._extra_cache[cache_key] = candidates
+        return candidates
 
     def _child_key(self, sub, lo, hi, child_root, child_out, sibling_out, root_range):
         """Assemble the child subproblem, or False if it violates the size cap."""
@@ -261,50 +289,56 @@ def _collect_edges(solver: _Solver, key: Key, edges: dict[int, int]) -> None:
             _collect_edges(solver, child_key, edges)
 
 
-def _solve_with_bound(instance: Instance1D, bound: int) -> tuple[float, ReceiverAssignment | None, _Solver]:
-    n = instance.n
-    solver = _Solver(instance, bound)
-    best = INFEASIBLE
-    best_key = None
+def _best_root(solver: _Solver, limit) -> OracleResult | None:
+    """The least value over all roots if it is at most limit, with a verified
+    witness rooted at the lowest root attaining it; None otherwise."""
+    n = solver.instance.n
+    best, best_key = INFEASIBLE, None
     for root in range(n):
         sub = Subproblem(0, n - 1, root, (), ())
-        value = solver.solve(sub).interference
-        if value < best:
-            best = value
-            best_key = sub.key()
-    if best_key is None or best is INFEASIBLE:
-        return INFEASIBLE, None, solver
+        value = solver.solve(sub, limit).interference
+        if value <= limit and value != INFEASIBLE:
+            # a later root wins only with a smaller value
+            best, best_key, limit = value, sub.key(), value - 1
+    if best_key is None:
+        return None
     edges: dict[int, int] = {}
     _collect_edges(solver, best_key, edges)
     witness = ReceiverAssignment(SINKTREE1D, edges, best_key[2])
-    return best, witness, solver
+    verify_witness(solver.instance, witness, best)
+    return OracleResult(best, witness)
 
 
-def solve_exact(instance: Instance1D, stats: DpStats | None = None) -> OracleResult:
-    """Optimum interference with a verified witness, over every root choice."""
+def solve_exact(
+    instance: Instance1D, stats: DpStats | None = None, cap: int = DEFAULT_CAP_DP
+) -> OracleResult:
+    """Optimum interference with a verified witness, over every root choice.
+    Refuses instances with more than cap points."""
+    _check_cap(instance.n, cap, "1D DP")
     if instance.n == 1:
         return OracleResult(0, ReceiverAssignment(SINKTREE1D, {}, 0))
-    optimum, witness, solver = _solve_with_bound(instance, size_bound(instance.n))
-    if witness is None:
-        raise InvariantError("no feasible decomposition within the size cap")
-    if stats is not None:
-        stats.subproblems = solver.stats.subproblems
-        stats.memo_hits = solver.stats.memo_hits
-    verify_witness(instance, witness, optimum)
-    return OracleResult(int(optimum), witness)
+    solver = _Solver(instance, size_bound(instance.n), stats)
+    # Deepen the limit on one solver; the first limit some root meets is the
+    # optimum.  Interference never exceeds the n - 1 balls.
+    for limit in range(1, instance.n):
+        result = _best_root(solver, limit)
+        if result is not None:
+            return result
+    raise InvariantError("no feasible decomposition within the size cap")
 
 
-def solve_opt_search(instance: Instance1D, stats: DpStats | None = None) -> OracleResult:
-    """Rerun the DP with caps 1, 2, ... and return at the first cap that admits
-    a solution no larger than the cap; equals solve_exact on every instance."""
+def solve_opt_search(
+    instance: Instance1D, stats: DpStats | None = None, cap: int = DEFAULT_CAP_DP
+) -> OracleResult:
+    """Rerun the DP with range-set size caps 1, 2, ... and return at the first
+    size cap that admits a solution no larger than itself; equals solve_exact
+    on every instance.  Refuses instances with more than cap points."""
+    _check_cap(instance.n, cap, "1D DP optimum search")
     if instance.n == 1:
         return OracleResult(0, ReceiverAssignment(SINKTREE1D, {}, 0))
-    for cap in range(1, size_bound(instance.n) + 1):
-        optimum, witness, solver = _solve_with_bound(instance, cap)
-        if stats is not None:
-            stats.subproblems += solver.stats.subproblems
-            stats.memo_hits += solver.stats.memo_hits
-        if witness is not None and optimum <= cap:
-            verify_witness(instance, witness, optimum)
-            return OracleResult(int(optimum), witness)
+    for bound in range(1, size_bound(instance.n) + 1):
+        # Only an optimum of at most bound is accepted, so bound is the limit.
+        result = _best_root(_Solver(instance, bound, stats), bound)
+        if result is not None:
+            return result
     raise InvariantError("no feasible decomposition within the maximum size cap")

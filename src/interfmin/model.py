@@ -50,15 +50,13 @@ class Instance1D:
             raise InputError("1D instance needs at least one point")
         for a, b in zip(self.points, self.points[1:]):
             if not a < b:
+                if a == b:
+                    raise InputError(f"duplicate 1D point: {a}")
                 raise InputError("1D points must be strictly increasing")
 
     @classmethod
     def from_values(cls, values: Iterable) -> "Instance1D":
-        pts = sorted(as_rational(v) for v in values)
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise InputError(f"duplicate 1D point: {a}")
-        return cls(tuple(pts))
+        return cls(tuple(sorted(as_rational(v) for v in values)))
 
     @property
     def n(self) -> int:

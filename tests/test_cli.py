@@ -128,6 +128,48 @@ def test_exit_code_cap(tmp_path, capsys):
     assert "refused" in err
 
 
+def test_dp_cap_refuses_without_traceback(tmp_path):
+    from interfmin.dpsolve import DEFAULT_CAP_DP
+
+    inst = tmp_path / "i.txt"
+    inst.write_text("".join(f"{3 * i}\n" for i in range(DEFAULT_CAP_DP + 1)))
+    for method in ("dp", "dp-optsearch"):
+        code, out, err = run_process("solve", "--method", method, str(inst))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("refused:")
+
+
+def test_dp_cap_override(tmp_path, capsys):
+    inst = tmp_path / "i.txt"
+    inst.write_text("0\n1\n3\n4\n")
+    for method in ("dp", "dp-optsearch"):
+        code, _, err = run(capsys, "solve", "--method", method, str(inst), "--cap", "3")
+        assert code == 2 and "refused" in err
+        code, out, _ = run(capsys, "solve", "--method", method, str(inst), "--cap", "4")
+        assert code == 0 and "optimum: 2" in out
+
+
+# stdout of `solve --method dp` and `--method dp-optsearch`, recorded before the
+# DP gained its value limit; pruning must not change a byte of it.
+DP_GOLDEN = {
+    "1 8 29 33 60 70 74 77": "optimum: 3\nmodel sinktree1d\nsink 0\n1 0\n2 1\n3 2\n4 5\n5 3\n6 5\n7 6\n",
+    "0 4 30 35 39 42 64 70": "optimum: 2\nmodel sinktree1d\nsink 4\n0 2\n1 0\n2 3\n3 4\n5 4\n6 5\n7 6\n",
+    "17 48 49 58 66 76 82": "optimum: 3\nmodel sinktree1d\nsink 0\n1 3\n2 1\n3 0\n4 3\n5 4\n6 5\n",
+}
+
+
+def test_dp_golden_output(tmp_path, capsys):
+    inst = tmp_path / "i.txt"
+    for values, expected in DP_GOLDEN.items():
+        inst.write_text("\n".join(values.split()) + "\n")
+        for method in ("dp", "dp-optsearch"):
+            code, out, _ = run(capsys, "solve", "--method", method, str(inst))
+            assert code == 0
+            assert out == f"method: {method}\n" + expected, (values, method)
+
+
 def test_exit_code_unknown_flag(capsys):
     code, _, _ = run(capsys, "solve", "--nonsense")
     assert code == 1

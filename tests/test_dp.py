@@ -4,15 +4,18 @@ import random
 import pytest
 
 from interfmin.dpsolve import (
+    DEFAULT_CAP_DP,
     Range,
     Subproblem,
-    _solve_with_bound,
+    _best_root,
+    _collect_edges,
+    _Solver,
     size_bound,
     solve_exact,
     solve_opt_search,
     solve_subproblem,
 )
-from interfmin.errors import InputError
+from interfmin.errors import CapExceededError, InputError
 from interfmin.families import gen_p
 from interfmin.model import Instance1D, has_bst_property, interference, is_valid
 from interfmin.oracle import brute_force_1d
@@ -97,10 +100,10 @@ def test_cap_monotonicity():
         n = rng.randint(2, 7)
         inst = Instance1D.from_values(rng.sample(range(0, 101), n))
         b = size_bound(n)
-        v1, w1, _ = _solve_with_bound(inst, b)
-        v2, w2, _ = _solve_with_bound(inst, b + 1)
-        assert v1 == v2
-        assert w1.receiver == w2.receiver and w1.sink == w2.sink
+        r1 = _best_root(_Solver(inst, b), math.inf)
+        r2 = _best_root(_Solver(inst, b + 1), math.inf)
+        assert r1.optimum == r2.optimum
+        assert r1.witness.receiver == r2.witness.receiver and r1.witness.sink == r2.witness.sink
 
 
 def test_opt_search_equals_exact():
@@ -113,8 +116,7 @@ def test_opt_search_equals_exact():
 
 def test_opt_search_stops_early():
     # two points: already feasible at cap 1
-    value, witness, _ = _solve_with_bound(Instance1D.from_values([0, 1]), 1)
-    assert value == 1 and witness is not None
+    assert _best_root(_Solver(Instance1D.from_values([0, 1]), 1), 1).optimum == 1
     assert solve_opt_search(Instance1D.from_values([0, 1])).optimum == 1
     assert solve_opt_search(Instance1D.from_values([0, 1, 3, 4])).optimum == 2
 
@@ -125,3 +127,77 @@ def test_determinism():
     b = solve_exact(inst)
     assert a.witness.receiver == b.witness.receiver
     assert a.witness.sink == b.witness.sink
+
+
+def unlimited_search(inst, bound):
+    """Optimum, sink and receiver map of the search without a value limit:
+    solve_subproblem at every root on one solver, lowest root first among
+    equal values."""
+    n = inst.n
+    solver = _Solver(inst, bound)
+    best, best_root = math.inf, None
+    for root in range(n):
+        value = solve_subproblem(inst, Subproblem(0, n - 1, root, (), ()), bound, solver).interference
+        if value < best:
+            best, best_root = value, root
+    if best_root is None:
+        return math.inf, None, None
+    edges = {}
+    _collect_edges(solver, (0, n - 1, best_root, (), ()), edges)
+    return best, best_root, edges
+
+
+def assert_same_as_unlimited(inst):
+    exact = solve_exact(inst)
+    assert (exact.optimum, exact.witness.sink, exact.witness.receiver) == unlimited_search(
+        inst, size_bound(inst.n)
+    ), inst.points
+    searched = solve_opt_search(inst)
+    for bound in range(1, size_bound(inst.n) + 1):
+        reference = unlimited_search(inst, bound)
+        if reference[0] <= bound:
+            break
+    assert (searched.optimum, searched.witness.sink, searched.witness.receiver) == reference, inst.points
+
+
+def test_pruning_keeps_optimum_and_witness():
+    rng = random.Random(4104)
+    for _ in range(100):
+        n = rng.randint(2, 8)
+        assert_same_as_unlimited(Instance1D.from_values(rng.sample(range(0, 101), n)))
+
+
+def test_pruning_keeps_optimum_and_witness_n9():
+    rng = random.Random(9009)
+    for _ in range(3):
+        assert_same_as_unlimited(Instance1D.from_values(rng.sample(range(0, 101), 9)))
+
+
+def test_rising_limits_give_exact_values():
+    inst = Instance1D.from_values([0, 4, 30, 35, 39, 42, 64])
+    bound = size_bound(inst.n)
+    reference = _Solver(inst, bound)
+    for root in range(inst.n):
+        reference.solve(Subproblem(0, inst.n - 1, root, (), ()))
+    keys = sorted(reference.memo, key=repr)[::7]
+    assert any(reference.memo[k].interference == math.inf for k in keys)
+    solver = _Solver(inst, bound)
+    for limit in (*range(1, inst.n), math.inf):
+        for key in keys:
+            exact = reference.memo[key]
+            got = solver.solve(Subproblem(*key), limit)
+            if exact.interference <= limit:
+                assert got == exact, (key, limit)
+            else:
+                assert got.interference > limit, (key, limit)
+    assert solver.lower  # some subproblems were cut on the way up
+
+
+def test_dp_cap_refuses():
+    inst = Instance1D.from_values(range(DEFAULT_CAP_DP + 1))
+    for solver in (solve_exact, solve_opt_search):
+        with pytest.raises(CapExceededError):
+            solver(inst)
+        with pytest.raises(CapExceededError):
+            solver(Instance1D.from_values([0, 1, 3]), cap=2)
+        assert solver(Instance1D.from_values([0, 1, 3]), cap=3).optimum == 2

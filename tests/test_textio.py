@@ -34,6 +34,10 @@ def test_parse_points_errors():
         parse_points("a b c\n")
     with pytest.raises(InputError):
         parse_points("x\n")
+    with pytest.raises(InputError, match="^duplicate 1D point: 1/2$"):
+        parse_points("0\n1/2\n2/4\n")
+    with pytest.raises(InputError, match="^1D points must be strictly increasing$"):
+        Instance1D((Fraction(1), Fraction(0)))
 
 
 def test_points_round_trip():
