@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
-from typing import Iterable, NamedTuple, Union
+from math import isqrt, lcm
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InputError, InvariantError
-
-Rational = Fraction
 
 # Model tags for receiver assignments.
 ASYM2D = "asym2d"
@@ -92,9 +90,14 @@ class Instance2D:
         return len(self.points)
 
     @cached_property
+    def scale(self) -> int:
+        """The LCM of all denominators on both axes: `ints` is `points` times this."""
+        return lcm(*(c.denominator for p in self.points for c in p))
+
+    @cached_property
     def ints(self) -> tuple[tuple[int, int], ...]:
-        """Points scaled to integers by one LCM of all denominators on both axes."""
-        scale = lcm(*(c.denominator for p in self.points for c in p))
+        """Points scaled to integers by `scale`."""
+        scale = self.scale
         return tuple(
             (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
             for x, y in self.points
@@ -163,6 +166,23 @@ def dist2(p: tuple, q: tuple):
     return dx * dx + dy * dy
 
 
+def near_lists(pts: Sequence[tuple[int, int]], reach2: int) -> list[list[int]]:
+    """For each integer point, the ascending indices of the points in the 3x3
+    block of square cells around its own.  The cell side is the least integer
+    at least sqrt(reach2), so the list of pts[i] holds every point within
+    squared distance `reach2` of it; points in one cell share one list."""
+    side = isqrt(reach2 - 1) + 1 if reach2 > 0 else 1
+    cell_of = [(x // side, y // side) for x, y in pts]
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, cell in enumerate(cell_of):
+        members.setdefault(cell, []).append(i)
+    around = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    block = {}
+    for cx, cy in members:
+        block[cx, cy] = sorted(i for dx, dy in around for i in members.get((cx + dx, cy + dy), ()))
+    return [block[cell] for cell in cell_of]
+
+
 def cover_interval(instance: Instance1D, center: int, boundary: int) -> tuple[int, int]:
     """Inclusive index range covered by the ball centered at `center` with
     `boundary` on its boundary."""
@@ -203,22 +223,25 @@ def communication_graph_2d(
         raise InputError("communication_graph_2d needs an asym2d assignment")
     assignment.check_for(instance)
     pts = instance.ints
-    out: list[list[int]] = []
-    for p in range(instance.n):
-        r2 = dist2(pts[p], pts[assignment.receiver[p]])
-        out.append([q for q in range(instance.n) if q != p and dist2(pts[p], pts[q]) <= r2])
-    return out
+    radii2 = [dist2(pts[p], pts[assignment.receiver[p]]) for p in range(instance.n)]
+    near = near_lists(pts, max(radii2, default=0))
+    return [
+        [q for q in near[p] if q != p and dist2(c, pts[q]) <= r2]
+        for p, (c, r2) in enumerate(zip(pts, radii2))
+    ]
 
 
-def _strongly_connected(out: list[list[int]]) -> bool:
+def _strongly_connected(out: Sequence[Sequence[int]]) -> bool:
     n = len(out)
     if n <= 1:
         return True
-    incoming: list[list[int]] = [[] for _ in range(n)]
-    for p, nbrs in enumerate(out):
-        for q in nbrs:
-            incoming[q].append(p)
-    for adj in (out, incoming):
+    adj = out
+    for reverse in (False, True):
+        if reverse:  # built only once every point is reachable from point 0
+            adj = [[] for _ in range(n)]
+            for p, nbrs in enumerate(out):
+                for q in nbrs:
+                    adj[q].append(p)
         seen = [False] * n
         seen[0] = True
         stack = [0]
@@ -277,11 +300,12 @@ def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[
             delta[hi + 1] -= 1
         return list(accumulate(delta[:n]))
     pts = instance.ints
+    radii2 = {c: dist2(pts[c], pts[b]) for c, b in assignment.receiver.items()}
+    near = near_lists(pts, max(radii2.values(), default=0))
     counts = [0] * n
-    for center, boundary in assignment.receiver.items():
+    for center, r2 in radii2.items():
         c = pts[center]
-        r2 = dist2(c, pts[boundary])
-        for p in range(n):
+        for p in near[center]:
             if dist2(c, pts[p]) <= r2:
                 counts[p] += 1
     return counts

@@ -19,6 +19,7 @@ from .model import (
     Instance1D,
     Instance2D,
     ReceiverAssignment,
+    _strongly_connected,
     cover_table,
     dist2,
 )
@@ -159,36 +160,16 @@ def brute_force_2d(instance: Instance2D, cap: int = DEFAULT_CAP_2D) -> OracleRes
 
     counts = [0] * n
     choice = [0] * n
+    graph: list[tuple[int, ...]] = [()] * n  # graph[p] = out_nbrs[p][choice[p]]
     best = n + 1
     best_choice: list[int] | None = None
-
-    def strongly_connected() -> bool:
-        for reverse in (False, True):
-            seen = [False] * n
-            seen[0] = True
-            stack = [0]
-            reached = 1
-            while stack:
-                v = stack.pop()
-                if reverse:
-                    nbrs = [w for w in range(n) if v in out_nbrs[w][choice[w]]]
-                else:
-                    nbrs = out_nbrs[v][choice[v]]
-                for w in nbrs:
-                    if not seen[w]:
-                        seen[w] = True
-                        reached += 1
-                        stack.append(w)
-            if reached != n:
-                return False
-        return True
 
     def search(p: int, cur_max: int) -> None:
         nonlocal best, best_choice
         if cur_max >= best:
             return
         if p == n:
-            if strongly_connected():
+            if _strongly_connected(graph):
                 best = cur_max
                 best_choice = choice[:]
             return
@@ -201,6 +182,7 @@ def brute_force_2d(instance: Instance2D, cap: int = DEFAULT_CAP_2D) -> OracleRes
                 if counts[j] > new_max:
                     new_max = counts[j]
             choice[p] = q
+            graph[p] = out_nbrs[p][q]
             search(p + 1, new_max)
             for j in covered[p][q]:
                 counts[j] -= 1

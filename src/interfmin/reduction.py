@@ -28,9 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import ceil
 
 from .errors import CapExceededError, InputError, InvariantError
-from .model import ASYM2D, Instance2D, ReceiverAssignment, as_rational, communication_graph_2d, dist2
+from .model import ASYM2D, Instance2D, ReceiverAssignment, as_rational, communication_graph_2d
+from .model import dist2, near_lists
 
 Vertex = tuple[int, int]
 Point = tuple[Fraction, Fraction]
@@ -39,6 +41,7 @@ Point = tuple[Fraction, Fraction]
 DIRECTIONS: tuple[Vertex, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 ROLE_ORDER = ("M", "S1", "S1p", "S2", "S2p", "S3", "S3p", "C", "Ic", "I1", "I2", "I3", "I4")
+_ROLE_OFFSET = {role: i for i, role in enumerate(ROLE_ORDER)}
 
 DEFAULT_EPSILON = Fraction(1, 64)
 
@@ -68,9 +71,12 @@ class GridGraph:
     def from_vertices(cls, vertices) -> "GridGraph":
         return cls(tuple(sorted((int(x), int(y)) for x, y in vertices)))
 
+    @cached_property
+    def _present(self) -> frozenset[Vertex]:
+        return frozenset(self.vertices)
+
     def neighbors(self, v: Vertex) -> list[Vertex]:
-        present = set(self.vertices)
-        return [(v[0] + d[0], v[1] + d[1]) for d in DIRECTIONS if (v[0] + d[0], v[1] + d[1]) in present]
+        return [(v[0] + d[0], v[1] + d[1]) for d in DIRECTIONS if (v[0] + d[0], v[1] + d[1]) in self._present]
 
     def edges(self) -> list[tuple[Vertex, Vertex]]:
         return [(u, w) for u in self.vertices for w in self.neighbors(u) if u < w]
@@ -111,7 +117,7 @@ class ReductionOutput:
         return {v: i * len(ROLE_ORDER) for i, v in enumerate(sorted(self.layouts))}
 
     def index_of(self, vertex: Vertex, role: str) -> int:
-        return self._base_index[vertex] + ROLE_ORDER.index(role)
+        return self._base_index[vertex] + _ROLE_OFFSET[role]
 
 
 def build_gadget(vertex: Vertex, incident_dirs, epsilon=DEFAULT_EPSILON) -> GadgetLayout:
@@ -223,9 +229,8 @@ def geometry_violations(red: ReductionOutput) -> list[str]:
       grid-adjacent or diagonal gadgets is checked against the floor.
     """
     problems: list[str] = []
-    pts = red.instance.points
-    eps_values = {layout.epsilon for layout in red.layouts.values()}
-    eps = eps_values.pop()
+    pts = red.instance.ints
+    eps = {layout.epsilon for layout in red.layouts.values()}.pop()
     sp = SATELLITE_SPACING
     path_radius = 1 - 2 * sp
 
@@ -236,6 +241,23 @@ def geometry_violations(red: ReductionOutput) -> list[str]:
     if not (floor > 0 and floor2 > (sp + 2 * eps) ** 2):
         problems.append(f"epsilon {eps} too large: an inhibitor hub reaches another gadget's inhibitor")
 
+    # Squared lengths in squared units of the integer view; an int distance d
+    # satisfies d < t exactly when d < ceil(t).
+    scale2 = red.instance.scale ** 2
+    eps2, tie, sat2 = eps * eps * scale2, (sp + eps) ** 2 * scale2, sp * sp * scale2
+    index_of = red.index_of
+    to_main = [
+        dist2(pts[index_of(v, f"S{i}")], pts[index_of(v, "M")]) for v in red.layouts for i in (1, 2, 3)
+    ]
+    # The largest squared radius scanned below is eps2, the tie or a
+    # satellite's distance to its main point (which need not be the designed one).
+    near = near_lists(pts, ceil(max(eps2, tie, *to_main)))
+
+    def has_near(i: int, limit: int, skip: tuple[int, ...]) -> bool:
+        """True iff a point outside `skip` lies within squared distance `limit` of point i."""
+        p = pts[i]
+        return any(dist2(p, pts[j]) <= limit for j in near[i] if j not in skip)
+
     for v, layout in sorted(red.layouts.items()):
         r = layout.roles
         d_mc = abs(r["C"][0] - r["M"][0]) + abs(r["C"][1] - r["M"][1])
@@ -245,53 +267,43 @@ def geometry_violations(red: ReductionOutput) -> list[str]:
         if d_mc != sp + eps:
             problems.append(f"{v}: connector distance is off")
 
-        def nearest_ok(role: str, expected: str, expected_d2: Fraction) -> None:
-            idx = red.index_of(v, role)
-            exp_idx = red.index_of(v, expected)
-            if dist2(pts[idx], pts[exp_idx]) != expected_d2:
+        def nearest_ok(role: str, expected: str) -> None:
+            idx = index_of(v, role)
+            exp_idx = index_of(v, expected)
+            d = dist2(pts[idx], pts[exp_idx])
+            if d != eps2:
                 problems.append(f"{v}: {role} is not at the expected distance from {expected}")
-                return
-            for j in range(len(pts)):
-                if j in (idx, exp_idx):
-                    continue
-                if dist2(pts[idx], pts[j]) <= expected_d2:
-                    problems.append(f"{v}: {role} has a neighbor nearer than {expected}")
-                    return
+            elif has_near(idx, d, (idx, exp_idx)):
+                problems.append(f"{v}: {role} has a neighbor nearer than {expected}")
 
         for i in (1, 2, 3):
-            nearest_ok(f"S{i}p", f"S{i}", eps * eps)
+            nearest_ok(f"S{i}p", f"S{i}")
         for j in (1, 2, 3, 4):
-            nearest_ok(f"I{j}", "Ic", eps * eps)
+            nearest_ok(f"I{j}", "Ic")
 
         # The connector's nearest points are the main point and the closest
         # inhibitor point, both exactly at the satellite distance plus epsilon.
-        c_idx = red.index_of(v, "C")
-        tie = (sp + eps) ** 2
-        if dist2(pts[c_idx], pts[red.index_of(v, "M")]) != tie:
+        c_idx = index_of(v, "C")
+        if dist2(pts[c_idx], pts[index_of(v, "M")]) != tie:
             problems.append(f"{v}: connector-to-main distance is off")
-        if dist2(pts[c_idx], pts[red.index_of(v, "I1")]) != tie:
+        if dist2(pts[c_idx], pts[index_of(v, "I1")]) != tie:
             problems.append(f"{v}: connector-to-inhibitor distance is off")
-        for j in range(len(pts)):
-            if j != c_idx and dist2(pts[c_idx], pts[j]) < tie:
-                problems.append(f"{v}: connector has a too-close neighbor")
-                break
+        if has_near(c_idx, ceil(tie) - 1, (c_idx,)):
+            problems.append(f"{v}: connector has a too-close neighbor")
 
         # Each satellite's nearest point outside its own station is the main point.
         for i in (1, 2, 3):
-            s_idx = red.index_of(v, f"S{i}")
-            own = {s_idx, red.index_of(v, f"S{i}p")}
-            d_main = dist2(pts[s_idx], pts[red.index_of(v, "M")])
-            if d_main != sp * sp:
+            s_idx = index_of(v, f"S{i}")
+            d_main = dist2(pts[s_idx], pts[index_of(v, "M")])
+            if d_main != sat2:
                 problems.append(f"{v}: satellite {i} is not at the main-point distance")
-            for j in range(len(pts)):
-                if j not in own and j != red.index_of(v, "M"):
-                    if dist2(pts[s_idx], pts[j]) <= d_main:
-                        problems.append(f"{v}: satellite {i} has a non-main nearest neighbor")
-                        break
+            if has_near(s_idx, d_main, (s_idx, index_of(v, f"S{i}p"), index_of(v, "M"))):
+                problems.append(f"{v}: satellite {i} has a non-main nearest neighbor")
 
     # Inhibitors of grid-adjacent and diagonal gadgets stay far apart.
+    floor2 = ceil(floor2 * scale2)
     cluster = {
-        v: [pts[red.index_of(v, role)] for role in ("Ic", "I1", "I2", "I3", "I4")] for v in red.layouts
+        v: [pts[index_of(v, role)] for role in ("Ic", "I1", "I2", "I3", "I4")] for v in red.layouts
     }
     for v in sorted(cluster):
         for d in ((1, -1), (1, 0), (1, 1), (0, 1)):

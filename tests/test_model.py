@@ -324,6 +324,60 @@ def test_integer_view_matches_fraction_reference(pair, factor):
     assert ints_results(scale_instance(inst, factor), a) == ints_results(inst, a)
 
 
+OFFSETS = st.builds(Fraction, st.integers(-36, 36), st.sampled_from([1, 2, 3, 5, 12]))
+
+
+@st.composite
+def clustered_instance_and_map(draw):
+    """Up to 30 planar points in up to four clusters 100 units apart, with
+    mixed denominators and negative coordinates, plus a receiver map that
+    mixes balls inside a cluster with balls reaching other clusters; so the
+    cells, sized by the largest ball, hold part of a cluster, a whole one or
+    several."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    centers = draw(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=k, max_size=k, unique=True)
+    )
+    n = draw(st.integers(min_value=2, max_value=30))
+    members = draw(
+        st.lists(
+            st.tuples(st.integers(0, k - 1), OFFSETS, OFFSETS), min_size=n, max_size=n, unique=True
+        )
+    )
+    inst = Instance2D.from_values(
+        (100 * centers[c][0] + dx, 100 * centers[c][1] + dy) for c, dx, dy in members
+    )
+    # Receiver choice j picks the j-th other point of the same cluster when
+    # `local` is set and there is one, else the j-th other point overall.
+    # With every ball local the cells are about a cluster wide.
+    local = draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=n - 2), min_size=n, max_size=n))
+    receiver = {}
+    for p in range(n):
+        others = [q for q in range(n) if q != p]
+        mates = [q for q in others if members[q][0] == members[p][0]]
+        pool = mates if local[p] and mates else others
+        receiver[p] = pool[picks[p] % len(pool)]
+    return inst, ReceiverAssignment(ASYM2D, receiver)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clustered_instance_and_map())
+def test_cell_index_matches_fraction_reference_on_clusters(pair):
+    inst, a = pair
+    assert communication_graph_2d(inst, a) == naive_graph(inst, a)
+    assert coverage_counts(inst, a) == naive_counts(inst, a)
+
+
+def test_ball_boundary_on_a_cell_edge():
+    # Radius 3 gives cells of side 3.  With cells one unit narrower, the
+    # boundary point at x = 4 would sit two cells from the center at x = 1.
+    inst = Instance2D.from_values([(1, 0), (4, 0), (4, 1)])
+    a = ReceiverAssignment(ASYM2D, {0: 1, 1: 2, 2: 1})
+    assert communication_graph_2d(inst, a) == [[1], [2], [1]]
+    assert coverage_counts(inst, a) == [1, 3, 2]
+
+
 def while_loop_cover_table(instance):
     """The cover table as the oracle and the DP built it before the integer view."""
     pts = instance.points

@@ -1,10 +1,14 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from interfmin.errors import CapExceededError, InputError
 from interfmin.model import (
     ASYM2D,
+    Instance2D,
     ReceiverAssignment,
     dist2,
     interference,
@@ -13,6 +17,8 @@ from interfmin.model import (
     scale_instance,
 )
 from interfmin.reduction import (
+    DIRECTIONS,
+    SATELLITE_SPACING,
     GridGraph,
     ROLE_ORDER,
     assignment_from_ham_path,
@@ -27,6 +33,8 @@ EPS = Fraction(1, 64)
 SPACING = Fraction(5, 16)  # main point to satellite
 
 L_SHAPE = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (2, 0)]
+TEE = [(0, 0), (1, 0), (2, 0), (1, 1), (1, 2)]
+SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def path_grid(k):
@@ -92,12 +100,10 @@ def test_geometry_suite_rejects_bad_epsilon():
 
 def test_find_ham_path():
     assert find_ham_path(path_grid(3)) == [(0, 0), (1, 0), (2, 0)]
-    square = GridGraph.from_vertices([(0, 0), (0, 1), (1, 0), (1, 1)])
-    path = find_ham_path(square)
+    path = find_ham_path(GridGraph.from_vertices(SQUARE))
     assert path is not None and len(path) == 4
     assert find_ham_path(path_grid(2)) is not None
-    tee = GridGraph.from_vertices([(0, 0), (1, 0), (2, 0), (1, 1), (1, 2)])
-    assert find_ham_path(tee) is None
+    assert find_ham_path(GridGraph.from_vertices(TEE)) is None
     with pytest.raises(CapExceededError):
         find_ham_path(path_grid(17))
 
@@ -153,8 +159,7 @@ def test_per_role_interference_values():
 
 
 def test_cycle_accepted_as_path():
-    square = GridGraph.from_vertices([(0, 0), (0, 1), (1, 0), (1, 1)])
-    red = reduce_grid(square)
+    red = reduce_grid(GridGraph.from_vertices(SQUARE))
     cycle = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
     assignment = assignment_from_ham_path(red, cycle)
     assert is_valid(red.instance, assignment)
@@ -191,3 +196,175 @@ def test_scaling_preserves_interference():
     scaled = scale_instance(red.instance, Fraction(7, 5))
     assert interference(scaled, assignment) == interference(red.instance, assignment)
     assert is_valid(scaled, assignment)
+
+
+# --- the cell-indexed geometry suite against the quadratic Fraction scan ---
+
+
+def quadratic_geometry_violations(red):
+    """The geometry suite as it was before the cell index: every neighbour
+    scan runs over all points, on the Fraction coordinates."""
+    problems = []
+    pts = red.instance.points
+    eps = {layout.epsilon for layout in red.layouts.values()}.pop()
+    sp = SATELLITE_SPACING
+    path_radius = 1 - 2 * sp
+
+    if not sp * sp + (sp - eps) ** 2 > path_radius**2:
+        problems.append(f"epsilon {eps} too large: a path satellite reaches a perpendicular station")
+    floor = 1 - 2 * sp - 4 * eps
+    floor2 = 2 * floor * floor
+    if not (floor > 0 and floor2 > (sp + 2 * eps) ** 2):
+        problems.append(f"epsilon {eps} too large: an inhibitor hub reaches another gadget's inhibitor")
+
+    for v, layout in sorted(red.layouts.items()):
+        r = layout.roles
+        d_mc = abs(r["C"][0] - r["M"][0]) + abs(r["C"][1] - r["M"][1])
+        d_ci = abs(r["Ic"][0] - r["C"][0]) + abs(r["Ic"][1] - r["C"][1])
+        if d_mc + eps != d_ci:
+            problems.append(f"{v}: connector-to-inhibitor spacing is off")
+        if d_mc != sp + eps:
+            problems.append(f"{v}: connector distance is off")
+
+        def nearest_ok(role, expected, expected_d2):
+            idx = red.index_of(v, role)
+            exp_idx = red.index_of(v, expected)
+            if dist2(pts[idx], pts[exp_idx]) != expected_d2:
+                problems.append(f"{v}: {role} is not at the expected distance from {expected}")
+                return
+            for j in range(len(pts)):
+                if j not in (idx, exp_idx) and dist2(pts[idx], pts[j]) <= expected_d2:
+                    problems.append(f"{v}: {role} has a neighbor nearer than {expected}")
+                    return
+
+        for i in (1, 2, 3):
+            nearest_ok(f"S{i}p", f"S{i}", eps * eps)
+        for j in (1, 2, 3, 4):
+            nearest_ok(f"I{j}", "Ic", eps * eps)
+
+        c_idx = red.index_of(v, "C")
+        tie = (sp + eps) ** 2
+        if dist2(pts[c_idx], pts[red.index_of(v, "M")]) != tie:
+            problems.append(f"{v}: connector-to-main distance is off")
+        if dist2(pts[c_idx], pts[red.index_of(v, "I1")]) != tie:
+            problems.append(f"{v}: connector-to-inhibitor distance is off")
+        for j in range(len(pts)):
+            if j != c_idx and dist2(pts[c_idx], pts[j]) < tie:
+                problems.append(f"{v}: connector has a too-close neighbor")
+                break
+
+        for i in (1, 2, 3):
+            s_idx = red.index_of(v, f"S{i}")
+            own = {s_idx, red.index_of(v, f"S{i}p")}
+            d_main = dist2(pts[s_idx], pts[red.index_of(v, "M")])
+            if d_main != sp * sp:
+                problems.append(f"{v}: satellite {i} is not at the main-point distance")
+            for j in range(len(pts)):
+                if j not in own and j != red.index_of(v, "M") and dist2(pts[s_idx], pts[j]) <= d_main:
+                    problems.append(f"{v}: satellite {i} has a non-main nearest neighbor")
+                    break
+
+    inhibitor = ("Ic", "I1", "I2", "I3", "I4")
+    cluster = {v: [pts[red.index_of(v, role)] for role in inhibitor] for v in red.layouts}
+    for v in sorted(cluster):
+        for d in ((1, -1), (1, 0), (1, 1), (0, 1)):
+            w = (v[0] + d[0], v[1] + d[1])
+            if w in cluster and any(dist2(a, b) < floor2 for a in cluster[v] for b in cluster[w]):
+                problems.append(f"{v}-{w}: inhibitor clusters too close")
+    return problems
+
+
+EPSILONS = [Fraction(*e) for e in ((1, 64), (1, 32), (1, 8), (1, 4), (7, 100), (1, 1000), (1, 2))]
+
+
+def random_snake(v, rng):
+    """The grid graph induced by a random self-avoiding walk of v vertices,
+    redrawn until its maximum degree is at most 3."""
+    while True:
+        walk = [(0, 0)]
+        while len(walk) < v:
+            x, y = walk[-1]
+            free = [(x + dx, y + dy) for dx, dy in DIRECTIONS if (x + dx, y + dy) not in walk]
+            if not free:
+                break
+            walk.append(rng.choice(free))
+        grid = GridGraph.from_vertices(walk)
+        if len(walk) == v and grid.max_degree() <= 3:
+            return grid
+
+
+def suite_reductions(eps, seed):
+    """Unchecked reductions of L_SHAPE, the tee, the square and four random
+    snakes, skipping grids on which epsilon makes two points coincide (at
+    epsilon 1/2, most of them)."""
+    rng = random.Random(seed)
+    fixed = (reduced(GridGraph.from_vertices(vs), eps) for vs in (L_SHAPE, TEE, SQUARE))
+    snakes = (reduced(random_snake(rng.randint(2, 8), rng), eps) for _ in range(200))
+    return list(filter(None, fixed)) + list(islice(filter(None, snakes), 4))
+
+
+def reduced(grid, eps):
+    """The unchecked reduction, or None where epsilon makes two points coincide."""
+    try:
+        return reduce_grid(grid, epsilon=eps, run_checks=False)
+    except InputError:
+        return None
+
+
+def moved(red, index, offset):
+    """`red` with one point shifted by `offset`; its layouts keep the design."""
+    pts = list(red.instance.points)
+    x, y = pts[index]
+    pts[index] = (x + offset[0], y + offset[1])
+    return replace(red, instance=Instance2D(tuple(pts)))
+
+
+@pytest.mark.parametrize("eps", EPSILONS, ids=str)
+def test_geometry_suite_matches_quadratic_scan(eps):
+    reductions = suite_reductions(eps, seed=str(eps))
+    assert len(reductions) >= 4
+    for red in reductions:
+        assert geometry_violations(red) == quadratic_geometry_violations(red)
+
+
+@pytest.mark.parametrize("eps", EPSILONS, ids=str)
+def test_geometry_suite_matches_quadratic_scan_on_broken_layouts(eps):
+    # One point moved, by a small or a large offset, so that non-design
+    # distances (a satellite's distance to its main point above all) set
+    # the cell side; the odd denominators keep the moved point off the others.
+    rng = random.Random(str(eps))
+    for red in suite_reductions(eps, seed=7):
+        for _ in range(3):
+            offset = tuple(Fraction(rng.randint(-40, 40), rng.choice([3, 7, 9])) for _ in range(2))
+            broken = moved(red, rng.randrange(red.instance.n), offset)
+            assert geometry_violations(broken) == quadratic_geometry_violations(broken)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 64), Fraction(1, 32), Fraction(1, 4)], ids=str)
+def test_geometry_suite_sees_a_tie_at_the_scan_radius(eps):
+    # M moved 1/16 away from S1 puts S1's main point and its partner both
+    # exactly 1 - 2s away, straight along the x axis: the satellite check
+    # must report the partner.  That distance is also the largest one
+    # scanned, so it sets the cell side; sliding the pair along the axis
+    # moves the partner across the cell boundaries.
+    for tx in range(-12, 12):
+        red = reduced(GridGraph.from_vertices([(tx, 0), (tx + 1, 0)]), eps)
+        broken = moved(red, red.index_of((tx, 0), "M"), (-Fraction(1, 16), 0))
+        problems = geometry_violations(broken)
+        assert f"{(tx, 0)}: satellite 1 has a non-main nearest neighbor" in problems
+        assert problems == quadratic_geometry_violations(broken)
+
+
+def test_reduction_at_a_thousand_vertices():
+    # A 2 x 500 ladder: 1000 vertices of degree at most 3, 13000 points.
+    # The boustrophedon walk uses every other rung and every other rail edge.
+    grid = GridGraph.from_vertices([(x, y) for x in range(500) for y in (0, 1)])
+    path = [(x, y) for x in range(500) for y in ((0, 1) if x % 2 == 0 else (1, 0))]
+    red = reduce_grid(grid, run_checks=False)
+    assert red.instance.n == 13000 and grid.max_degree() == 3
+    assert geometry_violations(red) == []
+    assignment = assignment_from_ham_path(red, path)
+    assert is_valid(red.instance, assignment)
+    assert interference(red.instance, assignment) == 5
+    expected = sorted((min(u, w), max(u, w)) for u, w in zip(path, path[1:]))
+    assert extract_connection_structure(red, assignment) == expected
