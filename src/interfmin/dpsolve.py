@@ -24,7 +24,6 @@ every computation, recomputations under a larger limit included.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
@@ -42,7 +41,9 @@ from .oracle import OracleResult, _check_cap
 
 Key = tuple  # (lo, hi, root, incoming tuple, outgoing tuple)
 
-INFEASIBLE = math.inf
+# Value of an infeasible subproblem: an integer above every interference value
+# (at most n).
+INFEASIBLE = 1 << 62
 
 # Largest n the DP solvers accept by default; larger instances are refused
 # rather than left to run for minutes.
@@ -63,7 +64,7 @@ class Subproblem:
 
 @dataclass
 class DpValue:
-    interference: float  # integer value, or INFEASIBLE
+    interference: int  # INFEASIBLE if no decomposition exists
     choice: Optional[tuple[Optional[Key], Optional[Key]]] = None
 
 
@@ -107,7 +108,7 @@ class _Solver:
         clo, chi = self.cover[rng.center][rng.boundary]
         return clo < lo or chi > hi
 
-    def solve(self, sub: Subproblem, limit=INFEASIBLE) -> DpValue:
+    def solve(self, sub: Subproblem, limit: int = INFEASIBLE) -> DpValue:
         """The exact value if it is at most limit, else a lower bound above
         limit."""
         key = sub.key()
@@ -127,7 +128,7 @@ class _Solver:
         self.memo[key] = value
         return value
 
-    def _compute(self, sub: Subproblem, limit) -> tuple[DpValue, bool]:
+    def _compute(self, sub: Subproblem, limit: int) -> tuple[DpValue, bool]:
         """Best split with value at most limit, and whether a split was cut
         off at the limit (rather than found infeasible)."""
         lo, hi, root = sub.lo, sub.hi, sub.root
@@ -289,7 +290,7 @@ def _collect_edges(solver: _Solver, key: Key, edges: dict[int, int]) -> None:
             _collect_edges(solver, child_key, edges)
 
 
-def _best_root(solver: _Solver, limit) -> OracleResult | None:
+def _best_root(solver: _Solver, limit: int) -> OracleResult | None:
     """The least value over all roots if it is at most limit, with a verified
     witness rooted at the lowest root attaining it; None otherwise."""
     n = solver.instance.n

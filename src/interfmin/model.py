@@ -10,6 +10,10 @@ distances exactly, and those are the only things the model and the solvers
 ask of the geometry; so every coverage and distance test runs on Python ints,
 with no floats and no rounding.  Points are addressed by index: position in
 the sorted coordinate order for 1D instances, input order for 2D instances.
+
+In 2D every point owns a ball, and a ball covers exactly its center and the
+center's out-neighbors in the communication graph, so the interference of a
+2D assignment is 1 plus the largest in-degree of that graph.
 """
 
 from __future__ import annotations
@@ -197,15 +201,6 @@ def cover_table(instance: Instance1D) -> list[list[tuple[int, int]]]:
     return [[cover_interval(instance, c, b) for b in range(instance.n)] for c in range(instance.n)]
 
 
-def covers(instance: Instance, r: Range, point_id: int) -> bool:
-    """Exact closed-ball membership test."""
-    if isinstance(instance, Instance1D):
-        lo, hi = cover_interval(instance, r.center, r.boundary)
-        return lo <= point_id <= hi
-    pts = instance.ints
-    return dist2(pts[r.center], pts[point_id]) <= dist2(pts[r.center], pts[r.boundary])
-
-
 def balls(instance: Instance, assignment: ReceiverAssignment) -> list[Range]:
     """One transmission range per assigned point, sorted by (center, boundary).
 
@@ -289,7 +284,8 @@ def is_valid(instance: Instance, assignment: ReceiverAssignment) -> bool:
 
 
 def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[int]:
-    """Number of transmission ranges covering each point (own ball included)."""
+    """Number of transmission ranges covering each point (own ball included);
+    in 2D, 1 plus the point's in-degree in the communication graph."""
     assignment.check_for(instance)
     n = instance.n
     if isinstance(instance, Instance1D):
@@ -299,22 +295,17 @@ def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[
             delta[lo] += 1
             delta[hi + 1] -= 1
         return list(accumulate(delta[:n]))
-    pts = instance.ints
-    radii2 = {c: dist2(pts[c], pts[b]) for c, b in assignment.receiver.items()}
-    near = near_lists(pts, max(radii2.values(), default=0))
-    counts = [0] * n
-    for center, r2 in radii2.items():
-        c = pts[center]
-        for p in near[center]:
-            if dist2(c, pts[p]) <= r2:
-                counts[p] += 1
+    counts = [1] * n
+    for nbrs in communication_graph_2d(instance, assignment):
+        for q in nbrs:
+            counts[q] += 1
     return counts
 
 
 def interference_at(instance: Instance, assignment: ReceiverAssignment, point_id: int) -> int:
     if not 0 <= point_id < instance.n:
         raise InputError(f"no point with index {point_id}")
-    return sum(1 for r in balls(instance, assignment) if covers(instance, r, point_id))
+    return coverage_counts(instance, assignment)[point_id]
 
 
 def interference(instance: Instance, assignment: ReceiverAssignment) -> int:

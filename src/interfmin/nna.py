@@ -13,20 +13,18 @@ coordinate, which makes runs reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError, InvariantError
 from .model import SINKTREE1D, Instance1D, ReceiverAssignment
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """Contiguous index interval [lo, hi] carrying an in-tree rooted at sink."""
 
     lo: int
     hi: int
     sink: int
-    edges: dict[int, int] = field(default_factory=dict)
 
 
 def _successor(instance: Instance1D, comp: Component) -> int:
@@ -43,8 +41,11 @@ def _successor(instance: Instance1D, comp: Component) -> int:
     return right
 
 
-def nna_round(instance: Instance1D, components: list[Component]) -> list[Component]:
-    """One merging round; the component count at most halves."""
+def nna_round(
+    instance: Instance1D, components: list[Component], receiver: dict[int, int]
+) -> list[Component]:
+    """One merging round; the component count at most halves.  The edge of
+    every sink that does not survive is written into `receiver`."""
     k = len(components)
     if k < 2:
         raise InputError("a merging round needs at least two components")
@@ -89,23 +90,19 @@ def nna_round(instance: Instance1D, components: list[Component]) -> list[Compone
             survivor = right_sink
         else:
             survivor = left_sink
-        edges: dict[int, int] = {}
         for j in range(a, b + 1):
-            edges.update(components[j].edges)
             if components[j].sink != survivor:
-                edges[components[j].sink] = succ_point[j]
-        merged.append(Component(lo, hi, survivor, edges))
+                receiver[components[j].sink] = succ_point[j]
+        merged.append(Component(lo, hi, survivor))
     return merged
 
 
 def nna(instance: Instance1D, round_log: list[list[Component]] | None = None) -> ReceiverAssignment:
     """Run the heuristic to a single component and return its assignment."""
-    if instance.n == 1:
-        return ReceiverAssignment(SINKTREE1D, {}, 0)
     components = [Component(i, i, i) for i in range(instance.n)]
+    receiver: dict[int, int] = {}
     while len(components) > 1:
-        components = nna_round(instance, components)
+        components = nna_round(instance, components, receiver)
         if round_log is not None:
             round_log.append(components)
-    final = components[0]
-    return ReceiverAssignment(SINKTREE1D, dict(final.edges), final.sink)
+    return ReceiverAssignment(SINKTREE1D, receiver, components[0].sink)

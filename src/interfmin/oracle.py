@@ -1,16 +1,20 @@
 """Brute-force exact solvers for small instances.
 
 These are the ground truth the other solvers are tested against.  The 1D
-search enumerates, for every root, every receiver map whose functional graph
-is an in-tree rooted there (recursive parent choice with cycle detection).
-Branches are pruned only when their partial coverage maximum already rules out
-an improvement, which never changes the returned optimum.
+oracles share one search body, `_sink_trees`: for every root in ascending
+order it enumerates every receiver map whose functional graph is an in-tree
+rooted there (recursive parent choice with cycle detection), pruning a branch
+once its partial coverage maximum exceeds a limit.  `brute_force_1d` starts the
+limit at n and lowers it below each tree it reaches, so the last tree reached
+is the witness; `enumerate_optimal_1d` runs the search at the optimum and
+collects every tree it reaches, all before its first yield (at most a few
+thousand assignments at the default cap of 9 points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import CapExceededError, InputError
 from .model import (
@@ -32,7 +36,6 @@ DEFAULT_CAP_2D = 7
 class OracleResult:
     optimum: int
     witness: ReceiverAssignment
-    optimal_count: int | None = None
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -49,98 +52,79 @@ def _would_cycle(parent: list[int | None], tail: int, head: int) -> bool:
     return v == tail
 
 
-def brute_force_1d(
-    instance: Instance1D, cap: int = DEFAULT_CAP_1D, count_optimal: bool = False
-) -> OracleResult:
-    """Minimum interference over all valid sink-tree assignments, with one
-    minimizer as witness (the first found in deterministic search order)."""
+def _sink_trees(
+    instance: Instance1D, limit: int, leaf: Callable[[int, dict[int, int], int], int]
+) -> None:
+    """The one 1D search body: visit, root by root in ascending order, every
+    sink tree whose coverage maximum stays at most `limit`, and call
+    leaf(root, receiver, value) on each.  The leaf returns the limit for the
+    rest of the search."""
     n = instance.n
-    _check_cap(n, cap, "1D brute force")
-    if n == 1:
-        return OracleResult(0, ReceiverAssignment(SINKTREE1D, {}, 0), 1 if count_optimal else None)
-
     cover = cover_table(instance)
     counts = [0] * n
     parent: list[int | None] = [None] * n
-    best = n + 1  # any valid assignment has interference <= n - 1
-    best_receiver: dict[int, int] = {}
-    best_root = 0
-
-    def search(root: int, order: list[int], idx: int, cur_max: int) -> None:
-        nonlocal best, best_receiver, best_root
-        if cur_max >= best:
-            return
-        if idx == len(order):
-            best = cur_max
-            best_receiver = {p: parent[p] for p in order}
-            best_root = root
-            return
-        p = order[idx]
-        for q in range(n):
-            if q == p or _would_cycle(parent, p, q):
-                continue
-            lo, hi = cover[p][q]
-            new_max = cur_max
-            for j in range(lo, hi + 1):
-                counts[j] += 1
-                if counts[j] > new_max:
-                    new_max = counts[j]
-            parent[p] = q
-            search(root, order, idx + 1, new_max)
-            parent[p] = None
-            for j in range(lo, hi + 1):
-                counts[j] -= 1
-
     for root in range(n):
         order = [p for p in range(n) if p != root]
-        search(root, order, 0, 0)
+        limit = _descend(cover, counts, parent, root, order, 0, 0, limit, leaf)
 
-    witness = ReceiverAssignment(SINKTREE1D, best_receiver, best_root)
-    result = OracleResult(best, witness)
-    if count_optimal:
-        result.optimal_count = sum(1 for _ in enumerate_optimal_1d(instance, cap=cap))
-    return result
+
+def _descend(cover, counts, parent, root, order, idx, cur_max, limit, leaf) -> int:
+    # A module-level function rather than a recursive closure: a closure that
+    # refers to itself sits in a reference cycle, which would keep the leaf,
+    # and every assignment it collected, alive until the garbage collector runs.
+    if cur_max > limit:
+        return limit
+    if idx == len(order):
+        return leaf(root, {p: parent[p] for p in order}, cur_max)
+    p = order[idx]
+    for q in range(len(counts)):
+        if q == p or _would_cycle(parent, p, q):
+            continue
+        lo, hi = cover[p][q]
+        new_max = cur_max
+        for j in range(lo, hi + 1):
+            counts[j] += 1
+            if counts[j] > new_max:
+                new_max = counts[j]
+        parent[p] = q
+        limit = _descend(cover, counts, parent, root, order, idx + 1, new_max, limit, leaf)
+        parent[p] = None
+        for j in range(lo, hi + 1):
+            counts[j] -= 1
+    return limit
+
+
+def brute_force_1d(instance: Instance1D, cap: int = DEFAULT_CAP_1D) -> OracleResult:
+    """Minimum interference over all valid sink-tree assignments, with one
+    minimizer as witness (the first found in deterministic search order)."""
+    _check_cap(instance.n, cap, "1D brute force")
+    improvements: list[tuple[int, dict[int, int], int]] = []
+
+    def improve(root: int, receiver: dict[int, int], value: int) -> int:
+        improvements.append((value, receiver, root))
+        return value - 1  # from here on, only strictly better trees count
+
+    # Any valid assignment has interference at most n - 1.
+    _sink_trees(instance, instance.n, improve)
+    best, receiver, root = improvements[-1]
+    return OracleResult(best, ReceiverAssignment(SINKTREE1D, receiver, root))
 
 
 def enumerate_optimal_1d(
     instance: Instance1D, cap: int = DEFAULT_CAP_1D
 ) -> Iterator[ReceiverAssignment]:
-    """Yield every valid assignment attaining the optimum interference."""
-    n = instance.n
-    _check_cap(n, cap, "1D optimal enumeration")
-    if n == 1:
-        yield ReceiverAssignment(SINKTREE1D, {}, 0)
-        return
+    """Yield every valid assignment attaining the optimum interference, in
+    search order.  The whole stream is collected before the first yield."""
+    _check_cap(instance.n, cap, "1D optimal enumeration")
     opt = brute_force_1d(instance, cap=cap).optimum
-    cover = cover_table(instance)
-    counts = [0] * n
-    parent: list[int | None] = [None] * n
+    optimal: list[ReceiverAssignment] = []
 
-    def search(root: int, order: list[int], idx: int, cur_max: int) -> Iterator[ReceiverAssignment]:
-        if cur_max > opt:
-            return
-        if idx == len(order):
-            yield ReceiverAssignment(SINKTREE1D, {p: parent[p] for p in order}, root)
-            return
-        p = order[idx]
-        for q in range(n):
-            if q == p or _would_cycle(parent, p, q):
-                continue
-            lo, hi = cover[p][q]
-            new_max = cur_max
-            for j in range(lo, hi + 1):
-                counts[j] += 1
-                if counts[j] > new_max:
-                    new_max = counts[j]
-            parent[p] = q
-            yield from search(root, order, idx + 1, new_max)
-            parent[p] = None
-            for j in range(lo, hi + 1):
-                counts[j] -= 1
+    def collect(root: int, receiver: dict[int, int], value: int) -> int:
+        optimal.append(ReceiverAssignment(SINKTREE1D, receiver, root))
+        return opt
 
-    for root in range(n):
-        order = [p for p in range(n) if p != root]
-        yield from search(root, order, 0, 0)
+    _sink_trees(instance, opt, collect)
+    yield from optimal
 
 
 def brute_force_2d(instance: Instance2D, cap: int = DEFAULT_CAP_2D) -> OracleResult:

@@ -32,7 +32,7 @@ from math import ceil
 
 from .errors import CapExceededError, InputError, InvariantError
 from .model import ASYM2D, Instance2D, ReceiverAssignment, as_rational, communication_graph_2d
-from .model import dist2, near_lists
+from .model import _strongly_connected, dist2, near_lists
 
 Vertex = tuple[int, int]
 Point = tuple[Fraction, Fraction]
@@ -85,14 +85,8 @@ class GridGraph:
         return max(len(self.neighbors(v)) for v in self.vertices)
 
     def is_connected(self) -> bool:
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in self.neighbors(stack.pop()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return _strongly_connected([[index[w] for w in self.neighbors(v)] for v in self.vertices])
 
 
 @dataclass(frozen=True)

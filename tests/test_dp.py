@@ -1,10 +1,10 @@
-import math
 import random
 
 import pytest
 
 from interfmin.dpsolve import (
     DEFAULT_CAP_DP,
+    INFEASIBLE,
     Range,
     Subproblem,
     _best_root,
@@ -30,11 +30,11 @@ def test_singleton_base_cases():
     assert v.interference == 2
     # empty outgoing set: infeasible away from the global level
     v = solve_subproblem(inst, Subproblem(0, 0, 0, (), ()), 4)
-    assert v.interference == math.inf
+    assert v.interference == INFEASIBLE
     # more than one range at the lone point: infeasible
     inst3 = Instance1D.from_values([0, 1, 2])
     v = solve_subproblem(inst3, Subproblem(1, 1, 1, (), (Range(1, 0), Range(1, 2))), 4)
-    assert v.interference == math.inf
+    assert v.interference == INFEASIBLE
 
 
 def test_size_cap_precondition():
@@ -100,8 +100,8 @@ def test_cap_monotonicity():
         n = rng.randint(2, 7)
         inst = Instance1D.from_values(rng.sample(range(0, 101), n))
         b = size_bound(n)
-        r1 = _best_root(_Solver(inst, b), math.inf)
-        r2 = _best_root(_Solver(inst, b + 1), math.inf)
+        r1 = _best_root(_Solver(inst, b), INFEASIBLE)
+        r2 = _best_root(_Solver(inst, b + 1), INFEASIBLE)
         assert r1.optimum == r2.optimum
         assert r1.witness.receiver == r2.witness.receiver and r1.witness.sink == r2.witness.sink
 
@@ -135,13 +135,13 @@ def unlimited_search(inst, bound):
     equal values."""
     n = inst.n
     solver = _Solver(inst, bound)
-    best, best_root = math.inf, None
+    best, best_root = INFEASIBLE, None
     for root in range(n):
         value = solve_subproblem(inst, Subproblem(0, n - 1, root, (), ()), bound, solver).interference
         if value < best:
             best, best_root = value, root
     if best_root is None:
-        return math.inf, None, None
+        return INFEASIBLE, None, None
     edges = {}
     _collect_edges(solver, (0, n - 1, best_root, (), ()), edges)
     return best, best_root, edges
@@ -180,9 +180,9 @@ def test_rising_limits_give_exact_values():
     for root in range(inst.n):
         reference.solve(Subproblem(0, inst.n - 1, root, (), ()))
     keys = sorted(reference.memo, key=repr)[::7]
-    assert any(reference.memo[k].interference == math.inf for k in keys)
+    assert any(reference.memo[k].interference == INFEASIBLE for k in keys)
     solver = _Solver(inst, bound)
-    for limit in (*range(1, inst.n), math.inf):
+    for limit in (*range(1, inst.n), INFEASIBLE):
         for key in keys:
             exact = reference.memo[key]
             got = solver.solve(Subproblem(*key), limit)

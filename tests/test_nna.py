@@ -29,19 +29,19 @@ def test_singleton():
 def test_round_trace_matches_hand_run():
     inst = Instance1D.from_values([0, 1, 3, 4])
     singletons = [Component(i, i, i) for i in range(4)]
-    round1 = nna_round(inst, singletons)
+    receiver = {}
+    round1 = nna_round(inst, singletons, receiver)
     assert [(c.lo, c.hi, c.sink) for c in round1] == [(0, 1, 0), (2, 3, 2)]
-    assert round1[0].edges == {1: 0}
-    assert round1[1].edges == {3: 2}
-    round2 = nna_round(inst, round1)
+    assert receiver == {1: 0, 3: 2}
+    round2 = nna_round(inst, round1, receiver)
     assert [(c.lo, c.hi, c.sink) for c in round2] == [(0, 3, 0)]
-    assert round2[0].edges == {1: 0, 3: 2, 2: 1}
+    assert receiver == {1: 0, 3: 2, 2: 1}
 
 
 def test_single_component_errors():
     inst = Instance1D.from_values([0, 1])
     with pytest.raises(InputError):
-        nna_round(inst, [Component(0, 1, 0, {1: 0})])
+        nna_round(inst, [Component(0, 1, 0)], {1: 0})
 
 
 def test_structured_instances():

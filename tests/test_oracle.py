@@ -1,9 +1,13 @@
+import gc
+import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 
 from interfmin.errors import CapExceededError, InputError
+from interfmin.families import random_instance_1d
 from interfmin.model import (
     ASYM2D,
     SINKTREE1D,
@@ -111,10 +115,88 @@ def test_enumeration_complete():
     assert got == expected
 
 
-def test_optimal_count():
-    res = brute_force_1d(Instance1D.from_values([0, 1]), count_optimal=True)
-    assert res.optimal_count == 2
-    assert brute_force_1d(Instance1D.from_values([0, 1])).optimal_count is None
+# (n, seed, optimum, sink, receiver items, optimal count, stream digest) for
+# random_instance_1d(n, seed, 100), recorded before the two 1D searches shared
+# one body; the digest covers the enumeration stream in order.
+ORACLE_GOLDEN_1D = [
+    (1, 1, 0, 0, [], 1, 'e628d1e0eca4d8c7'),
+    (1, 2, 0, 0, [], 1, 'e628d1e0eca4d8c7'),
+    (1, 3, 0, 0, [], 1, 'e628d1e0eca4d8c7'),
+    (1, 4, 0, 0, [], 1, 'e628d1e0eca4d8c7'),
+    (1, 5, 0, 0, [], 1, 'e628d1e0eca4d8c7'),
+    (2, 1, 1, 0, [(1, 0)], 2, '02c87448e9aa6ffd'),
+    (2, 2, 1, 0, [(1, 0)], 2, '02c87448e9aa6ffd'),
+    (2, 3, 1, 0, [(1, 0)], 2, '02c87448e9aa6ffd'),
+    (2, 4, 1, 0, [(1, 0)], 2, '02c87448e9aa6ffd'),
+    (2, 5, 1, 0, [(1, 0)], 2, '02c87448e9aa6ffd'),
+    (3, 1, 2, 0, [(1, 0), (2, 0)], 9, '91bcb3dcb9f2b2eb'),
+    (3, 2, 2, 0, [(1, 0), (2, 0)], 9, '91bcb3dcb9f2b2eb'),
+    (3, 3, 2, 0, [(1, 0), (2, 0)], 9, '91bcb3dcb9f2b2eb'),
+    (3, 4, 2, 0, [(1, 0), (2, 0)], 9, '91bcb3dcb9f2b2eb'),
+    (3, 5, 2, 0, [(1, 0), (2, 0)], 9, '91bcb3dcb9f2b2eb'),
+    (4, 1, 2, 0, [(1, 0), (2, 0), (3, 2)], 16, '9bec58fdbd47692b'),
+    (4, 2, 2, 1, [(0, 1), (2, 0), (3, 2)], 4, '081aab6b00f972f2'),
+    (4, 3, 2, 0, [(1, 0), (2, 0), (3, 2)], 16, '9bec58fdbd47692b'),
+    (4, 4, 2, 1, [(0, 1), (2, 0), (3, 2)], 4, '081aab6b00f972f2'),
+    (4, 5, 2, 0, [(1, 0), (2, 0), (3, 2)], 16, '9bec58fdbd47692b'),
+    (5, 1, 2, 0, [(1, 0), (2, 0), (3, 2), (4, 3)], 12, '4f607ecbb0e63489'),
+    (5, 2, 2, 1, [(0, 1), (2, 0), (3, 2), (4, 3)], 3, '4b7a74fda9bdde9d'),
+    (5, 3, 2, 0, [(1, 0), (2, 1), (3, 2), (4, 3)], 8, 'b8e70348f2b91802'),
+    (5, 4, 2, 1, [(0, 1), (2, 1), (3, 2), (4, 3)], 2, '1d4252c65cb3e02c'),
+    (5, 5, 2, 2, [(0, 1), (1, 2), (3, 2), (4, 3)], 12, 'c1ee74b2f6c84c38'),
+    (6, 1, 2, 1, [(0, 1), (2, 0), (3, 2), (4, 3), (5, 4)], 6, '68602854876eb0ed'),
+    (6, 2, 2, 1, [(0, 1), (2, 0), (3, 2), (4, 3), (5, 4)], 3, '0d7c3dea9b39c4ae'),
+    (6, 3, 3, 0, [(1, 0), (2, 1), (3, 0), (4, 2), (5, 3)], 818, 'a8cd9b08b56933ea'),
+    (6, 4, 3, 0, [(1, 0), (2, 1), (3, 0), (4, 3), (5, 3)], 314, 'd234dc3f9db59954'),
+    (6, 5, 2, 2, [(0, 1), (1, 2), (3, 2), (4, 3), (5, 4)], 4, 'ede7f37b47a06407'),
+    (7, 1, 3, 0, [(1, 0), (2, 0), (3, 0), (4, 3), (5, 3), (6, 4)], 1305, '3232b1b06fe2f286'),
+    (7, 2, 2, 1, [(0, 1), (2, 0), (3, 2), (4, 3), (5, 4), (6, 5)], 6, 'd4f64e4d20d67fb1'),
+    (7, 3, 2, 4, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 4), (6, 5)], 12, 'fa8cf170deaddd07'),
+    (7, 4, 3, 0, [(1, 0), (2, 0), (3, 1), (4, 2), (5, 4), (6, 5)], 892, '7588c35be9c81440'),
+    (7, 5, 2, 3, [(0, 1), (1, 2), (2, 3), (4, 3), (5, 4), (6, 5)], 4, '5ab463f9bc2410f0'),
+    (8, 1, 3, 0, [(1, 0), (2, 0), (3, 0), (4, 3), (5, 4), (6, 3), (7, 6)], 1126, '49bce41993376b73'),
+    (8, 2, 3, 0, [(1, 0), (2, 0), (3, 0), (4, 3), (5, 3), (6, 4), (7, 6)], 1821, '9b4681d5ef5b99fc'),
+    (8, 3, 2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 5), (7, 6)], 6, '33a9ea0116232c3d'),
+    (8, 4, 3, 0, [(1, 0), (2, 0), (3, 0), (4, 2), (5, 3), (6, 5), (7, 6)], 2401, 'aaf06696b08e7633'),
+    (8, 5, 3, 0, [(1, 0), (2, 1), (3, 4), (4, 0), (5, 4), (6, 5), (7, 6)], 1700, '099ae91b660b6da6'),
+]
+
+
+def stream_digest(stream):
+    h = hashlib.sha256()
+    count = 0
+    for a in stream:
+        h.update(f"{a.sink} {sorted(a.receiver.items())}\n".encode())
+        count += 1
+    return count, h.hexdigest()[:16]
+
+
+def test_golden_witnesses_and_enumeration_order():
+    for n, seed, optimum, sink, receiver, count, digest in ORACLE_GOLDEN_1D:
+        inst = random_instance_1d(n, seed, 100)
+        res = brute_force_1d(inst)
+        assert (res.optimum, res.witness.sink, sorted(res.witness.receiver.items())) == (
+            optimum,
+            sink,
+            receiver,
+        ), (n, seed)
+        assert stream_digest(enumerate_optimal_1d(inst)) == (count, digest), (n, seed)
+
+
+def test_enumeration_frees_dropped_assignments():
+    # Without the cycle collector, an assignment the caller drops must go at
+    # once: nothing inside the search may keep the collected stream alive.
+    inst = Instance1D.from_values([0, 1, 3, 4])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        stream = list(enumerate_optimal_1d(inst))
+        ref = weakref.ref(stream[0])
+        del stream
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_bst_existence_small():

@@ -88,6 +88,34 @@ def test_reduce_input_validation():
         reduce_grid(degree4)
 
 
+def union_find_connected(vertices):
+    """Reference connectivity: union-find over the unit grid edges."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for x, y in vertices:
+        for w in ((x + 1, y), (x, y + 1)):
+            if w in root:
+                root[find(w)] = find((x, y))
+    return len({find(v) for v in vertices}) == 1
+
+
+def test_is_connected_matches_union_find():
+    rng = random.Random(4416)
+    cells = [(x, y) for x in range(4) for y in range(4)]
+    verdicts = set()
+    for _ in range(500):
+        vertices = rng.sample(cells, rng.randint(1, len(cells)))
+        expected = union_find_connected(vertices)
+        assert GridGraph.from_vertices(vertices).is_connected() == expected, sorted(vertices)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_geometry_suite_clean():
     for grid in (path_grid(2), path_grid(4), GridGraph.from_vertices(L_SHAPE)):
         assert geometry_violations(reduce_grid(grid)) == []
