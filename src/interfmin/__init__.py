@@ -10,7 +10,6 @@ from .model import (
     Instance2D,
     Range,
     ReceiverAssignment,
-    balls,
     communication_graph_2d,
     count_bends,
     cross_edges,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import dpsolve, families, oracle, reduction, textio
 from .nna import nna as run_nna
@@ -24,7 +23,6 @@ from .errors import CapExceededError, InputError, InvariantError
 from .model import (
     Instance1D,
     Instance2D,
-    as_rational,
     communication_graph_2d,
     count_bends,
     cross_edges,
@@ -33,27 +31,6 @@ from .model import (
     is_valid,
     verify_witness,
 )
-
-
-@dataclass
-class RunReport:
-    method: str
-    value: int
-    elapsed: float
-    witness_path: str | None = None
-    stats: dict = field(default_factory=dict)
-
-    def lines(self, with_stats: bool) -> list[str]:
-        out = [f"method: {self.method}", f"optimum: {self.value}"]
-        if self.witness_path:
-            out.append(f"witness_path: {self.witness_path}")
-        if with_stats:
-            # Timing lives behind --stats so default reports are byte-identical
-            # across runs.
-            out.append(f"elapsed_s: {self.elapsed:.3f}")
-            for key in sorted(self.stats):
-                out.append(f"{key}: {self.stats[key]}")
-        return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,13 +100,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_epsilon(token: str):
-    eps = as_rational(token)
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
-    return eps
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -150,6 +120,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if getattr(args, "with_witness", False) and args.out is None:
+        raise InputError("--with-witness needs -o to derive the witness path")
     witness = None
     if args.family == "p":
         fam = families.gen_p(args.parameter)
@@ -167,15 +139,14 @@ def _cmd_gen(args) -> int:
         return 0
     _write(args.out, textio.format_points(fam.instance))
     if witness is not None:
-        if args.out is None:
-            raise InputError("--with-witness needs -o to derive the witness path")
-        path = args.out + ".assign"
-        _write(path, textio.format_assignment(witness))
+        _write(args.out + ".assign", textio.format_assignment(witness))
     return 0
 
 
 def _cmd_solve(args) -> int:
     instance = textio.parse_points(_read(args.instance))
+    if args.dot and not isinstance(instance, Instance2D):
+        raise InputError("--dot needs a 2D instance")
     t0 = time.monotonic()
     stats: dict = {}
     if args.method == "oracle":
@@ -210,16 +181,21 @@ def _cmd_solve(args) -> int:
     if args.witness_out:
         _write(args.witness_out, witness_text)
     if args.dot:
-        if not isinstance(instance, Instance2D):
-            raise InputError("--dot needs a 2D instance")
         _write(args.dot, textio.format_graph_dot(communication_graph_2d(instance, result.witness)))
     if args.method == "nna" and args.trace:
         for i, comps in enumerate(rounds, start=1):
             parts = " ".join(f"[{c.lo}-{c.hi}]@{c.sink}" for c in comps)
             print(f"round {i}: {parts}")
-    report = RunReport(args.method, result.optimum, elapsed, args.witness_out, stats)
-    for line in report.lines(args.stats):
-        print(line)
+    print(f"method: {args.method}")
+    print(f"optimum: {result.optimum}")
+    if args.witness_out:
+        print(f"witness_path: {args.witness_out}")
+    if args.stats:
+        # Timing lives behind --stats so default reports are byte-identical
+        # across runs.
+        print(f"elapsed_s: {elapsed:.3f}")
+        for key in sorted(stats):
+            print(f"{key}: {stats[key]}")
     if not args.witness_out:
         sys.stdout.write(witness_text)
     return 0
@@ -228,7 +204,7 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     if args.predicate == "gadget":
         grid = reduction.GridGraph.from_vertices(textio.parse_grid(_read(args.grid)))
-        red = reduction.reduce_grid(grid, _parse_epsilon(args.epsilon), run_checks=False)
+        red = reduction.reduce_grid(grid, args.epsilon, run_checks=False)
         problems = reduction.geometry_violations(red)
         if problems:
             for p in problems:
@@ -240,12 +216,12 @@ def _cmd_check(args) -> int:
     instance = textio.parse_points(_read(args.instance))
     assignment = textio.parse_assignment(_read(args.assignment))
     if args.predicate == "valid":
+        if args.dot and not isinstance(instance, Instance2D):
+            raise InputError("--dot needs a 2D instance")
         verdict = is_valid(instance, assignment)
-        print(f"valid: {'true' if verdict else 'false'}")
-        if getattr(args, "dot", None):
-            if not isinstance(instance, Instance2D):
-                raise InputError("--dot needs a 2D instance")
+        if args.dot:
             _write(args.dot, textio.format_graph_dot(communication_graph_2d(instance, assignment)))
+        print(f"valid: {'true' if verdict else 'false'}")
         return 0
     if args.predicate == "interference":
         print(f"interference: {interference(instance, assignment)}")
@@ -274,7 +250,7 @@ def _roles_sidecar(red: reduction.ReductionOutput) -> str:
 
 def _cmd_reduce(args) -> int:
     grid = reduction.GridGraph.from_vertices(textio.parse_grid(_read(args.grid)))
-    red = reduction.reduce_grid(grid, _parse_epsilon(args.epsilon))
+    red = reduction.reduce_grid(grid, args.epsilon)
     _write(args.out, textio.format_points(red.instance))
     roles_path = args.roles_out
     if roles_path is None and args.out is not None:
@@ -293,7 +269,7 @@ def _cmd_ham(args) -> int:
     print("ham_path: " + " ".join(f"({x},{y})" for x, y in path))
     if args.action == "find":
         return 0
-    red = reduction.reduce_grid(grid, _parse_epsilon(args.epsilon))
+    red = reduction.reduce_grid(grid, args.epsilon)
     assignment = reduction.assignment_from_ham_path(red, path)
     value = interference(red.instance, assignment)
     if not is_valid(red.instance, assignment):

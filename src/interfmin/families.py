@@ -26,13 +26,7 @@ RIGHT = "right"
 @dataclass(frozen=True)
 class FamilyInstance:
     instance: Instance1D
-    family: str
-    parameter: int
     block_map: dict[int, str] = field(default_factory=dict)
-
-
-def p_size(i: int) -> int:
-    return 2**i
 
 
 def p_diameter(i: int) -> int:
@@ -58,7 +52,7 @@ def gen_p(i: int) -> FamilyInstance:
         raise InputError(f"gen_p parameter must be in [0, {MAX_P_PARAM}], got {i}")
     coords = _p_coords(i)
     inst = Instance1D.from_values(coords)
-    return FamilyInstance(inst, "P", i, {idx: "P" for idx in range(inst.n)})
+    return FamilyInstance(inst)
 
 
 def _p_edges(i: int, side: str) -> dict[int, int]:
@@ -111,7 +105,7 @@ def gen_q(k: int) -> FamilyInstance:
     by_coord = sorted((c, name) for name, block in blocks for c in block)
     inst = Instance1D.from_values(c for c, _ in by_coord)
     block_map = {idx: name for idx, (_, name) in enumerate(by_coord)}
-    return FamilyInstance(inst, "Q", k, block_map)
+    return FamilyInstance(inst, block_map)
 
 
 def optimal_assignment_q(k: int) -> ReceiverAssignment:
@@ -158,7 +152,7 @@ def gen_log_lower(n: int) -> FamilyInstance:
         coords.append(coords[-1] + (coords[-1] - coords[0]) + 1)
     inst = Instance1D.from_values(coords)
     block_map = {idx: ("core" if idx < core_size else "filler") for idx in range(n)}
-    return FamilyInstance(inst, "LogLower", n, block_map)
+    return FamilyInstance(inst, block_map)
 
 
 def random_instance_1d(n: int, seed: int, coord_max: int = 100) -> Instance1D:

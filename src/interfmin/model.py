@@ -201,15 +201,6 @@ def cover_table(instance: Instance1D) -> list[list[tuple[int, int]]]:
     return [[cover_interval(instance, c, b) for b in range(instance.n)] for c in range(instance.n)]
 
 
-def balls(instance: Instance, assignment: ReceiverAssignment) -> list[Range]:
-    """One transmission range per assigned point, sorted by (center, boundary).
-
-    In the sink-tree model the sink contributes no ball.
-    """
-    assignment.check_for(instance)
-    return sorted(Range(p, q) for p, q in assignment.receiver.items())
-
-
 def communication_graph_2d(
     instance: Instance2D, assignment: ReceiverAssignment
 ) -> list[list[int]]:
@@ -226,51 +217,41 @@ def communication_graph_2d(
     ]
 
 
+def _reach(adj: Sequence[Sequence[int]], start: int) -> list[int]:
+    """The points reachable from `start` along `adj`, in breadth-first order:
+    each point is listed after the point it was first reached from."""
+    seen = [False] * len(adj)
+    seen[start] = True
+    order = [start]
+    for v in order:
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+    return order
+
+
 def _strongly_connected(out: Sequence[Sequence[int]]) -> bool:
     n = len(out)
-    if n <= 1:
+    if n == 0:
         return True
-    adj = out
-    for reverse in (False, True):
-        if reverse:  # built only once every point is reachable from point 0
-            adj = [[] for _ in range(n)]
-            for p, nbrs in enumerate(out):
-                for q in nbrs:
-                    adj[q].append(p)
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        if count != n:
-            return False
-    return True
+    if len(_reach(out, 0)) != n:
+        return False
+    # The reverse graph is built only once every point is reachable from
+    # point 0: nearly every leaf of the 2D oracle fails before that.
+    back: list[list[int]] = [[] for _ in range(n)]
+    for p, nbrs in enumerate(out):
+        for q in nbrs:
+            back[q].append(p)
+    return len(_reach(back, 0)) == n
 
 
-def _is_in_tree(n: int, receiver: dict[int, int], sink: int) -> bool:
-    """True iff the functional graph is acyclic with every point reaching `sink`."""
-    state = [0] * n  # 0 unvisited, 1 on current walk, 2 known-good
-    state[sink] = 2
-    for start in range(n):
-        if state[start]:
-            continue
-        path = []
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = receiver[v]
-        if state[v] == 1:
-            return False  # walked into our own path: a cycle
-        for u in path:
-            state[u] = 2
-    return True
+def _tree_order(n: int, assignment: ReceiverAssignment) -> list[int]:
+    """The points that reach the sink, each listed after its receiver."""
+    children: list[list[int]] = [[] for _ in range(n)]
+    for p, q in assignment.receiver.items():
+        children[q].append(p)
+    return _reach(children, assignment.sink)
 
 
 def is_valid(instance: Instance, assignment: ReceiverAssignment) -> bool:
@@ -278,9 +259,7 @@ def is_valid(instance: Instance, assignment: ReceiverAssignment) -> bool:
     assignment.check_for(instance)
     if assignment.model == ASYM2D:
         return _strongly_connected(communication_graph_2d(instance, assignment))
-    if instance.n == 1:
-        return True
-    return _is_in_tree(instance.n, assignment.receiver, assignment.sink)
+    return len(_tree_order(instance.n, assignment)) == instance.n
 
 
 def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[int]:
@@ -334,22 +313,10 @@ def descendant_masks(instance: Instance1D, assignment: ReceiverAssignment) -> li
     _require_valid_tree(instance, assignment)
     n = instance.n
     masks = [1 << p for p in range(n)]
-    # Accumulate from the deepest nodes up: process points in order of
-    # decreasing depth so each child is complete before its parent.
-    depth = [-1] * n
-    depth[assignment.sink] = 0
-    for p in range(n):
-        path = []
-        q = p
-        while depth[q] < 0:
-            path.append(q)
-            q = assignment.receiver[q]
-        base = depth[q]
-        for off, u in enumerate(reversed(path), start=1):
-            depth[u] = base + off
-    for p in sorted(range(n), key=lambda v: -depth[v]):
-        if p != assignment.sink:
-            masks[assignment.receiver[p]] |= masks[p]
+    # Walking the tree order backwards completes each point's mask before
+    # its receiver's.
+    for p in reversed(_tree_order(n, assignment)[1:]):
+        masks[assignment.receiver[p]] |= masks[p]
     return masks
 
 

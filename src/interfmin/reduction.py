@@ -32,7 +32,7 @@ from math import ceil
 
 from .errors import CapExceededError, InputError, InvariantError
 from .model import ASYM2D, Instance2D, ReceiverAssignment, as_rational, communication_graph_2d
-from .model import _strongly_connected, dist2, near_lists
+from .model import _reach, dist2, near_lists
 
 Vertex = tuple[int, int]
 Point = tuple[Fraction, Fraction]
@@ -86,12 +86,12 @@ class GridGraph:
 
     def is_connected(self) -> bool:
         index = {v: i for i, v in enumerate(self.vertices)}
-        return _strongly_connected([[index[w] for w in self.neighbors(v)] for v in self.vertices])
+        adj = [[index[w] for w in self.neighbors(v)] for v in self.vertices]
+        return len(_reach(adj, 0)) == len(adj)  # grid edges are symmetric
 
 
 @dataclass(frozen=True)
 class GadgetLayout:
-    vertex: Vertex
     epsilon: Fraction
     roles: dict[str, Point]
     satellite_directions: dict[str, Vertex]
@@ -161,7 +161,7 @@ def build_gadget(vertex: Vertex, incident_dirs, epsilon=DEFAULT_EPSILON) -> Gadg
     offsets += [d for d in DIRECTIONS if d != offsets[0]]
     for j, d in enumerate(offsets[:4], start=1):
         roles[f"I{j}"] = (center[0] + eps * d[0], center[1] + eps * d[1])
-    return GadgetLayout(vertex, eps, roles, satellite_directions)
+    return GadgetLayout(eps, roles, satellite_directions)
 
 
 def reduce_grid(grid: GridGraph, epsilon=DEFAULT_EPSILON, run_checks: bool = True) -> ReductionOutput:

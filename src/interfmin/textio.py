@@ -10,8 +10,6 @@ integer pair per line; edges are implicit between L1-distance-1 pairs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError
 from .model import (
     ASYM2D,
@@ -32,10 +30,6 @@ def _content_lines(text: str) -> list[list[str]]:
     return rows
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)  # Fraction renders as `a` or `a/b`
-
-
 def parse_points(text: str) -> Instance:
     """Parse a point file; the token count per line decides 1D vs 2D."""
     rows = _content_lines(text)
@@ -53,9 +47,9 @@ def parse_points(text: str) -> Instance:
 
 def format_points(instance: Instance) -> str:
     if isinstance(instance, Instance1D):
-        body = "\n".join(format_rational(x) for x in instance.points)
+        body = "\n".join(str(x) for x in instance.points)  # Fraction renders as `a` or `a/b`
     else:
-        body = "\n".join(f"{format_rational(x)} {format_rational(y)}" for x, y in instance.points)
+        body = "\n".join(f"{x} {y}" for x, y in instance.points)
     return body + "\n"
 
 
@@ -123,9 +117,9 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
     return vertices
 
 
-def format_graph_dot(out_neighbors: list[list[int]], name: str = "communication") -> str:
+def format_graph_dot(out_neighbors: list[list[int]]) -> str:
     """Export a directed graph in DOT format (for figures)."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph communication {"]
     for p, nbrs in enumerate(out_neighbors):
         for q in nbrs:
             lines.append(f"  {p} -> {q};")

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import interfmin
+import pytest
 from interfmin.cli import main
 from interfmin.textio import format_assignment, parse_assignment
 
@@ -44,12 +45,12 @@ def test_solve_verifies_witness(tmp_path, capsys):
     assert format_assignment(parse_assignment(text)) == text
 
 
-def run_process(*argv):
+def run_process(*argv, cwd=None):
     """Run the CLI in a fresh interpreter, so an uncaught exception would show
     up as a traceback on stderr."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "interfmin.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "interfmin.cli", *argv], capture_output=True, text=True, env=env, cwd=cwd
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -72,6 +73,41 @@ def test_gen_out_into_missing_directory(tmp_path):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(f"error: cannot write {target}:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "--method", "dp", "line4.txt", "--witness-out", "w", "--dot", "g.dot"), "--dot needs a 2D instance"),
+        (("check", "valid", "line4.txt", "chain.assign", "--dot", "g.dot"), "--dot needs a 2D instance"),
+        (("gen", "p", "2", "--with-witness"), "--with-witness needs -o to derive the witness path"),
+    ],
+    ids=["solve-dot-1d", "check-valid-dot-1d", "gen-witness-no-out"],
+)
+def test_bad_flag_combination_refused_before_any_output(tmp_path, argv, message):
+    (tmp_path / "line4.txt").write_text("0\n1\n2\n3\n")
+    (tmp_path / "chain.assign").write_text("model sinktree1d\nsink 0\n1 0\n2 1\n3 2\n")
+    code, out, err = run_process(*argv, cwd=tmp_path)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == f"error: {message}\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["chain.assign", "line4.txt"]
+
+
+def test_reduce_epsilon_errors(tmp_path):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("0 0\n1 0\n2 0\n")
+    apart = tmp_path / "apart.txt"
+    apart.write_text("0 0\n2 0\n")
+    for path, eps, message in [
+        (grid, "0", "epsilon must be positive"),
+        (grid, "-1/64", "epsilon must be positive"),
+        (grid, "zz", "not a rational number: 'zz'"),
+        (apart, "0", "grid graph must be connected"),  # the grid is checked before epsilon
+    ]:
+        code, out, err = run_process("reduce", str(path), f"--epsilon={eps}")
+        assert (code, out, err) == (1, "", f"error: {message}\n"), (path.name, eps)
 
 
 def test_check_bends_on_q3_witness(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,14 +13,14 @@ from interfmin.model import (
     SINKTREE1D,
     Instance1D,
     Instance2D,
-    Range,
     ReceiverAssignment,
-    balls,
+    _strongly_connected,
     communication_graph_2d,
     count_bends,
     cover_table,
     coverage_counts,
     cross_edges,
+    descendant_masks,
     has_bst_property,
     interference,
     interference_at,
@@ -91,14 +93,6 @@ def test_is_valid():
     assert is_valid(Instance1D.from_values([5]), ReceiverAssignment(SINKTREE1D, {}, 0))
 
 
-def test_balls():
-    inst = Instance1D.from_values([0, 1])
-    assert balls(inst, ReceiverAssignment(SINKTREE1D, {0: 1}, 1)) == [Range(0, 1)]
-    assert len(balls(TRIANGLE, TRIANGLE_N)) == TRIANGLE.n
-    inst4 = Instance1D.from_values([0, 1, 3, 4])
-    assert len(balls(inst4, chain(4))) == 3
-
-
 def test_interference_triangle():
     assert interference_at(TRIANGLE, TRIANGLE_N, 0) == 3
     assert interference_at(TRIANGLE, TRIANGLE_N, 1) == 2
@@ -152,15 +146,73 @@ def test_count_bends():
     assert count_bends(inst4, a) == 1
 
 
-def _all_in_trees(n):
-    """Every valid sink-tree assignment on n points (rejection filtering)."""
+def _all_receiver_maps(n):
+    """Every sink-tree receiver map on n points, valid or not: each sink, and
+    for every other point each receiver but itself."""
     inst = Instance1D.from_values(range(n))
     for root in range(n):
         others = [p for p in range(n) if p != root]
         for recv in itertools.product(*[[q for q in range(n) if q != p] for p in others]):
-            a = ReceiverAssignment(SINKTREE1D, dict(zip(others, recv)), root)
-            if is_valid(inst, a):
-                yield inst, a
+            yield inst, ReceiverAssignment(SINKTREE1D, dict(zip(others, recv)), root)
+
+
+def _all_in_trees(n):
+    """Every valid sink-tree assignment on n points (rejection filtering)."""
+    return ((inst, a) for inst, a in _all_receiver_maps(n) if is_valid(inst, a))
+
+
+# sha256 of the tree predicates on all 20153 receiver maps with n = 1..6,
+# recorded before validity and descendant sets came from one breadth-first
+# reach; the rewrite must not change a verdict.
+TREE_PREDICATES_SHA256 = "0ad1071f35933fa0bc4231f588dd318c7350d083cacd5b8408144360bd40ce70"
+
+
+def test_tree_predicates_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 7):
+        for inst, a in _all_receiver_maps(n):
+            verdicts = is_valid(inst, a) and (
+                True,
+                descendant_masks(inst, a),
+                cross_edges(inst, a),
+                has_bst_property(inst, a),
+                count_bends(inst, a),
+            )
+            digest.update(repr((a.sink, sorted(a.receiver.items()), verdicts)).encode())
+            count += 1
+    assert count == 20153
+    assert digest.hexdigest() == TREE_PREDICATES_SHA256
+
+
+def closure_strongly_connected(out):
+    """Reference: Warshall's transitive closure, then every pair reaches."""
+    n = len(out)
+    reach = [[p == q or q in out[p] for q in range(n)] for p in range(n)]
+    for k in range(n):
+        for row in reach:
+            if row[k]:
+                row[:] = [r or rk for r, rk in zip(row, reach[k])]
+    return all(all(row) for row in reach)
+
+
+def test_strongly_connected_matches_transitive_closure():
+    rng = random.Random(5)
+    graphs = [[], [[0]], [[0], [1]], [[1], [0]], [[1], [0], []]]  # self-loops, an isolated point
+    for n in range(10):
+        for density in (0.15, 0.3, 0.5):
+            for _ in range(40):
+                out = [[q for q in range(n) if rng.random() < density] for _ in range(n)]
+                if n and rng.random() < 0.25:  # isolate one point
+                    lone = rng.randrange(n)
+                    out = [[] if p == lone else [q for q in nbrs if q != lone] for p, nbrs in enumerate(out)]
+                graphs.append(out)
+    verdicts = set()
+    for out in graphs:
+        expected = closure_strongly_connected(out)
+        assert _strongly_connected(out) == expected, out
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
