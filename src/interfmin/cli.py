@@ -163,7 +163,11 @@ def _cmd_solve(args) -> int:
         solver = dpsolve.solve_exact if args.method == "dp" else dpsolve.solve_opt_search
         cap = args.cap if args.cap is not None else dpsolve.DEFAULT_CAP_DP
         result = solver(instance, dp_stats, cap=cap)
-        stats = {"subproblems": dp_stats.subproblems, "memo_hits": dp_stats.memo_hits}
+        stats = {
+            "subproblems": dp_stats.subproblems,
+            "memo_hits": dp_stats.memo_hits,
+            "split_pairs": dp_stats.split_pairs,
+        }
     else:
         if not isinstance(instance, Instance1D):
             raise InputError("nna needs a 1D instance")
@@ -266,10 +270,11 @@ def _cmd_ham(args) -> int:
     if path is None:
         print("ham_path: none")
         raise CapExceededError("the grid graph has no Hamiltonian path")
+    # assign reduces (and so checks epsilon) before any output.
+    red = reduction.reduce_grid(grid, args.epsilon) if args.action == "assign" else None
     print("ham_path: " + " ".join(f"({x},{y})" for x, y in path))
-    if args.action == "find":
+    if red is None:
         return 0
-    red = reduction.reduce_grid(grid, args.epsilon)
     assignment = reduction.assignment_from_ham_path(red, path)
     value = interference(red.instance, assignment)
     if not is_valid(red.instance, assignment):

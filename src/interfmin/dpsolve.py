@@ -13,13 +13,26 @@ that size, which keeps the subproblem space quasi-polynomial.
 The search is branch and bound under a value limit L: a subproblem returns
 its exact value if that is at most L, else some lower bound above L.  Exact
 values go to the memo, "value > L" to a dict of lower bounds that answers
-later calls with a limit up to L.  A split is dropped once its root coverage
-or a child's value exceeds the best value so far (minus one if the split
-would lose the tie-break on its encoding), so the chosen decomposition is the
-one an unlimited search picks.  `solve_exact` deepens the limit 1, 2, ... on
-one solver until some root meets it; `solve_opt_search` uses each size cap as
-the limit; `solve_subproblem` is unlimited.  `DpStats.subproblems` counts
+later calls with a limit up to L.  `solve_exact` deepens the limit 1, 2, ...
+on one solver until some root meets it; `solve_opt_search` uses each size cap
+as the limit; `solve_subproblem` is unlimited.  `DpStats.subproblems` counts
 every computation, recomputations under a larger limit included.
+
+Splits are visited in ascending root coverage.  Every extra range a side may
+add escapes the side but not the interval, and a ball covers a contiguous
+run of indices around its center, so every extra covers the root: an
+option's root coverage is that of its base set (inherited ranges plus the
+edge to the root) plus its number of extras.  Options are generated one
+coverage level at a time, only up to the side's budget (the limit less the
+root's other coverage and the other side's edge), and cached per side so a
+later, larger budget extends the list.  Once a pair's root coverage exceeds
+the limit or the best value so far, the pairs after it in that order are not
+built; a cut pair or a truncated list marks the result as a lower bound,
+never as infeasible.  A split whose child value exceeds the best so far
+(minus one if it would lose the tie-break on its encoding) is dropped too.
+The winner is the least (value, encoding) over the feasible splits, and
+distinct splits have distinct encodings, so it does not depend on the
+visiting order and is the one an unlimited search picks.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ INFEASIBLE = 1 << 62
 
 # Largest n the DP solvers accept by default; larger instances are refused
 # rather than left to run for minutes.
-DEFAULT_CAP_DP = 10
+DEFAULT_CAP_DP = 11
 
 
 @dataclass(frozen=True)
@@ -72,10 +85,35 @@ class DpValue:
 class DpStats:
     subproblems: int = 0
     memo_hits: int = 0
+    split_pairs: int = 0  # splits whose child subproblems were assembled
 
 
 def _canonical(ranges) -> tuple[Range, ...]:
     return tuple(sorted(set(ranges)))
+
+
+class _SideOptions:
+    """One side's split options, generated lazily one root-coverage level at
+    a time: options[:ends[c]] are those covering the root at most c times."""
+
+    __slots__ = ("roots", "candidates", "top", "options", "ends")
+
+    def __init__(self, roots: list, candidates: dict[int, list[Range]]):
+        self.roots = roots  # (child root, base set, base coverage, free centers, most extras)
+        self.candidates = candidates
+        self.top = max((cov + most for _, _, cov, _, most in roots), default=-1)
+        self.options: list[tuple[int, tuple[Range, ...], int]] = []
+        self.ends: list[int] = []
+
+    def add_level(self) -> None:
+        level = len(self.ends)
+        for child_root, base, base_cov, centers, most in self.roots:
+            count = level - base_cov
+            if 0 <= count <= most:
+                for chosen in combinations(centers, count):
+                    for picks in product(*(self.candidates[c] for c in chosen)):
+                        self.options.append((child_root, _canonical(base.union(picks)), level))
+        self.ends.append(len(self.options))
 
 
 class _Solver:
@@ -89,7 +127,7 @@ class _Solver:
         # cover[c][b] = inclusive index range covered by the ball (c, b); all
         # later geometry runs on these integer intervals.
         self.cover = cover_table(instance)
-        self._side_cache: dict[tuple, list] = {}
+        self._side_cache: dict[tuple, _SideOptions] = {}
         self._extra_cache: dict[tuple, dict[int, list[Range]]] = {}
 
     def covers(self, rng: Range, idx: int) -> bool:
@@ -143,17 +181,31 @@ class _Solver:
             return DpValue(INFEASIBLE), False
 
         root_range = root_ranges[0] if root_ranges else None
-        left_options = self._side_options(sub, lo, root - 1)
-        right_options = self._side_options(sub, root + 1, hi)
         base_cover = (1 if root_range else 0) + sum(
             1 for r in sub.incoming if self.covers(r, root)
         )
-
+        # A non-empty side's edge to the root covers the root, so each side
+        # may spend what the other side's cheapest option leaves.
+        spare = limit - base_cover
+        left, left_more = self._side_options(sub, lo, root - 1, spare - (root < hi))
+        right, right_more = self._side_options(sub, root + 1, hi, spare - (lo < root))
+        cut = left_more or right_more
         best = DpValue(INFEASIBLE)
+        if not left or not right:
+            return best, cut
+
         best_enc = None
-        cut = False
-        for l_root, l_out in left_options:
-            for r_root, r_out in right_options:
+        ceiling = limit  # no split above min(limit, best value) can win
+        for l_root, l_out, l_cov in left:
+            if base_cover + l_cov + right[0][2] > ceiling:
+                cut = True
+                break
+            for r_root, r_out, r_cov in right:
+                value = base_cover + l_cov + r_cov
+                if value > ceiling:
+                    cut = True
+                    break
+                self.stats.split_pairs += 1
                 left_key = self._child_key(sub, lo, root - 1, l_root, l_out, r_out, root_range)
                 if left_key is False:
                     continue
@@ -163,11 +215,7 @@ class _Solver:
                 enc = (left_key or (), right_key or ())
                 # Ties go to the smallest encoding, so a split that would lose
                 # the tie must beat the best value outright.
-                if best_enc is None:
-                    cap = limit
-                else:
-                    cap = min(limit, best.interference if enc < best_enc else best.interference - 1)
-                value = base_cover + sum(1 for r in l_out + r_out if self.covers(r, root))
+                cap = ceiling if best_enc is None or enc < best_enc else ceiling - 1
                 for child_key in (left_key, right_key):
                     if value > cap:
                         break
@@ -182,19 +230,34 @@ class _Solver:
                     continue
                 best = DpValue(value, (left_key, right_key))
                 best_enc = enc
+                ceiling = value
         return best, cut
 
-    def _side_options(self, sub: Subproblem, lo: int, hi: int):
-        """Enumerate (child root, child outgoing set) choices for one side."""
+    def _side_options(self, sub: Subproblem, lo: int, hi: int, budget: int):
+        """(child root, child outgoing set, root coverage) choices for one
+        side whose coverage of sub.root is at most budget, in ascending
+        coverage, and whether a choice above the budget was left out."""
         if lo > hi:
-            return [(None, ())]
+            return [(None, (), 0)], False
         inherited = [r for r in sub.outgoing if lo <= r.center <= hi]
         cache_key = (lo, hi, sub.root, sub.lo, sub.hi, tuple(inherited))
-        cached = self._side_cache.get(cache_key)
-        if cached is not None:
-            return cached
+        side = self._side_cache.get(cache_key)
+        if side is None:
+            side = self._side_cache[cache_key] = self._side_roots(sub, lo, hi, inherited)
+        while len(side.ends) <= min(budget, side.top):
+            side.add_level()
+        if budget >= side.top:
+            return side.options, False
+        if budget < 0:
+            return [], True
+        return side.options[: side.ends[budget]], True
+
+    def _side_roots(self, sub: Subproblem, lo: int, hi: int, inherited) -> _SideOptions:
+        """The per-child-root data every option on the side [lo, hi] grows
+        from: its base set, the base set's coverage of sub.root, the centers
+        free for extras and the most extras the size cap allows."""
         candidates = self._extra_candidates(sub, lo, hi)
-        options = []
+        roots = []
         for child_root in range(lo, hi + 1):
             conflict = any(r.center == child_root and r.boundary != sub.root for r in inherited)
             if conflict:
@@ -204,16 +267,13 @@ class _Solver:
                 continue  # a ball leaving the interval must be declared upward
             base = set(inherited)
             base.add(edge)
+            base_cov = sum(1 for r in base if self.covers(r, sub.root))
             taken_centers = {r.center for r in base}
             centers = [c for c in candidates if c not in taken_centers]
-            max_extra = self.bound - len(base)
-            for count in range(0, min(len(centers), max_extra) + 1):
-                for chosen in combinations(centers, count):
-                    for picks in product(*(candidates[c] for c in chosen)):
-                        options.append((child_root, _canonical(base.union(picks))))
-        options.sort(key=lambda item: (item[0], item[1]))
-        self._side_cache[cache_key] = options
-        return options
+            most = min(len(centers), self.bound - len(base))
+            if most >= 0:
+                roots.append((child_root, base, base_cov, centers, most))
+        return _SideOptions(roots, candidates)
 
     def _extra_candidates(self, sub: Subproblem, lo: int, hi: int) -> dict[int, list[Range]]:
         """Optional extra ranges for the side [lo, hi], by center in ascending

@@ -206,6 +206,24 @@ def test_dp_golden_output(tmp_path, capsys):
             assert out == f"method: {method}\n" + expected, (values, method)
 
 
+def test_solve_stats_shows_split_pairs(tmp_path, capsys):
+    from interfmin.dpsolve import DpStats, solve_exact, solve_opt_search
+    from interfmin.model import Instance1D
+
+    values = [0, 4, 30, 35, 39, 42, 64, 70]
+    inst = tmp_path / "i.txt"
+    inst.write_text("".join(f"{v}\n" for v in values))
+    for method, solver in (("dp", solve_exact), ("dp-optsearch", solve_opt_search)):
+        stats = DpStats()
+        solver(Instance1D.from_values(values), stats)
+        code, out, _ = run(capsys, "solve", "--method", method, str(inst), "--stats")
+        assert code == 0
+        lines = out.splitlines()
+        assert stats.split_pairs > 0
+        for name in ("memo_hits", "split_pairs", "subproblems"):
+            assert f"{name}: {getattr(stats, name)}" in lines, (method, name)
+
+
 def test_exit_code_unknown_flag(capsys):
     code, _, _ = run(capsys, "solve", "--nonsense")
     assert code == 1
@@ -270,6 +288,17 @@ def test_ham_assign(tmp_path, capsys):
     assert "interference: 5" in out
     code, out, _ = run(capsys, "check", "interference", str(pts), str(assign))
     assert code == 0 and "interference: 5" in out
+
+
+def test_ham_assign_checks_epsilon_before_output(tmp_path):
+    grid = tmp_path / "path3.txt"
+    grid.write_text("0 0\n1 0\n2 0\n")
+    code, out, err = run_process("ham", "assign", str(grid), "--epsilon", "0")
+    assert (code, out, err) == (1, "", "error: epsilon must be positive\n")
+    tee = tmp_path / "tee.txt"
+    tee.write_text("0 0\n1 0\n2 0\n1 1\n1 2\n")
+    code, out, _ = run_process("ham", "assign", str(tee), "--epsilon", "0")
+    assert (code, out) == (2, "ham_path: none\n")
 
 
 def test_ham_no_path(tmp_path, capsys):

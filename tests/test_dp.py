@@ -1,10 +1,13 @@
+import hashlib
 import random
+from itertools import combinations, product
 
 import pytest
 
 from interfmin.dpsolve import (
     DEFAULT_CAP_DP,
     INFEASIBLE,
+    DpStats,
     Range,
     Subproblem,
     _best_root,
@@ -16,7 +19,7 @@ from interfmin.dpsolve import (
     solve_subproblem,
 )
 from interfmin.errors import CapExceededError, InputError
-from interfmin.families import gen_p
+from interfmin.families import gen_p, random_instance_1d
 from interfmin.model import Instance1D, has_bst_property, interference, is_valid
 from interfmin.oracle import brute_force_1d
 
@@ -201,3 +204,135 @@ def test_dp_cap_refuses():
         with pytest.raises(CapExceededError):
             solver(Instance1D.from_values([0, 1, 3]), cap=2)
         assert solver(Instance1D.from_values([0, 1, 3]), cap=3).optimum == 2
+
+
+def test_extra_candidates_cover_the_root():
+    # Extras escape their side but not the interval, and the side borders the
+    # root, so each one adds exactly one to the root's coverage.
+    rng = random.Random(2718)
+    checked = 0
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        inst = Instance1D.from_values(rng.sample(range(0, 101), n))
+        solver = _Solver(inst, size_bound(n))
+        for lo in range(n):
+            for hi in range(lo, n):
+                for root in range(lo, hi + 1):
+                    sub = Subproblem(lo, hi, root, (), ())
+                    for side_lo, side_hi in ((lo, root - 1), (root + 1, hi)):
+                        if side_lo > side_hi:
+                            continue
+                        for ranges in solver._extra_candidates(sub, side_lo, side_hi).values():
+                            for ball in ranges:
+                                assert solver.covers(ball, root), (inst.points, sub, ball)
+                                checked += 1
+    assert checked > 1000
+
+
+def full_side_options(solver, sub, lo, hi):
+    """Every (child root, outgoing set) choice for the non-empty side [lo, hi],
+    built the way the DP built its whole list before it generated options by
+    root coverage."""
+    inherited = [r for r in sub.outgoing if lo <= r.center <= hi]
+    candidates = solver._extra_candidates(sub, lo, hi)
+    options = []
+    for child_root in range(lo, hi + 1):
+        if any(r.center == child_root and r.boundary != sub.root for r in inherited):
+            continue
+        edge = Range(child_root, sub.root)
+        if edge not in inherited and solver.escapes(edge, sub.lo, sub.hi):
+            continue
+        base = set(inherited)
+        base.add(edge)
+        taken_centers = {r.center for r in base}
+        centers = [c for c in candidates if c not in taken_centers]
+        for count in range(0, min(len(centers), solver.bound - len(base)) + 1):
+            for chosen in combinations(centers, count):
+                for picks in product(*(candidates[c] for c in chosen)):
+                    options.append((child_root, tuple(sorted(base.union(picks)))))
+    return options
+
+
+def test_lazy_side_options_are_the_full_list_by_coverage():
+    rng = random.Random(5150)
+    sides = 0
+    for _ in range(16):
+        n = rng.randint(3, 7)
+        inst = Instance1D.from_values(rng.sample(range(0, 101), n))
+        bound = size_bound(n)
+        reference = _Solver(inst, bound)
+        for root in range(n):
+            reference.solve(Subproblem(0, n - 1, root, (), ()))
+        for key in sorted(reference.memo, key=repr)[::2]:
+            sub = Subproblem(*key)
+            for lo, hi in ((sub.lo, sub.root - 1), (sub.root + 1, sub.hi)):
+                if lo > hi:
+                    continue
+                full = full_side_options(reference, sub, lo, hi)
+                coverage = {opt: sum(1 for r in opt[1] if reference.covers(r, sub.root)) for opt in full}
+                assert len(coverage) == len(full)
+                options, more = _Solver(inst, bound)._side_options(sub, lo, hi, INFEASIBLE)
+                assert not more
+                assert len(options) == len(full)
+                assert {(r, out): cov for r, out, cov in options} == coverage, (inst.points, key)
+                assert [cov for _, _, cov in options] == sorted(coverage.values())
+                top = max(coverage.values(), default=-1)
+                growing = _Solver(inst, bound)  # one cache, budgets up then down
+                for budget in (*range(-2, top + 2), *range(top + 1, -3, -1)):
+                    want = {opt for opt, cov in coverage.items() if cov <= budget}
+                    for solver in (_Solver(inst, bound), growing):
+                        options, more = solver._side_options(sub, lo, hi, budget)
+                        assert len(options) == len(want)
+                        assert {(r, out) for r, out, _ in options} == want, (key, budget)
+                        assert more == (top > budget)
+                sides += 1
+    assert sides > 400
+
+
+# sha256 over (n, seed, optimum, sink, receiver map) from solve_exact and
+# solve_opt_search on random_instance_1d(n, seed, 100), n = 2..9, seeds 1..5,
+# recorded before splits were visited in order of root coverage.
+DP_WITNESS_SHA256 = "f3f8a2092e751bba068b23d509f0f1ecb2d61f935828470d25b2b9bbac828083"
+
+
+def test_dp_witnesses_golden_digest():
+    digest = hashlib.sha256()
+    for n in range(2, 10):
+        for seed in range(1, 6):
+            inst = random_instance_1d(n, seed, 100)
+            for solver in (solve_exact, solve_opt_search):
+                res = solver(inst)
+                record = (n, seed, res.optimum, res.witness.sink, sorted(res.witness.receiver.items()))
+                digest.update(repr(record).encode())
+    assert digest.hexdigest() == DP_WITNESS_SHA256
+
+
+# Witnesses on random_instance_1d(9, seed, 100) recorded before splits were
+# visited in order of root coverage.  Both need a split whose root coverage
+# equals the best value so far to win the tie-break on its encoding.
+TIE_BREAK_WITNESSES = {
+    12: (3, 2, {0: 2, 1: 0, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 7}),
+    54: (3, 3, {0: 3, 1: 0, 2: 1, 4: 6, 5: 4, 6: 3, 7: 6, 8: 7}),
+}
+
+
+def test_coverage_ties_keep_the_witness():
+    for seed, expected in TIE_BREAK_WITNESSES.items():
+        inst = random_instance_1d(9, seed, 100)
+        for solver in (solve_exact, solve_opt_search):
+            res = solver(inst)
+            assert (res.optimum, res.witness.sink, res.witness.receiver) == expected, (seed, solver.__name__)
+
+
+@pytest.mark.parametrize("n, seeds", [(10, range(1, 7)), (11, range(1, 5))])
+def test_matches_oracle_n10_n11(n, seeds):
+    for seed in seeds:
+        inst = random_instance_1d(n, seed, 100)
+        optimum = brute_force_1d(inst, cap=n).optimum
+        for solver in (solve_exact, solve_opt_search):
+            stats = DpStats()
+            res = solver(inst, stats, cap=n)
+            assert res.optimum == optimum, (n, seed, solver.__name__)
+            assert is_valid(inst, res.witness)
+            assert interference(inst, res.witness) == optimum
+            assert stats.split_pairs > 0
