@@ -245,11 +245,8 @@ def _cmd_check(args) -> int:
 
 
 def _roles_sidecar(red: reduction.ReductionOutput) -> str:
-    lines = []
-    for idx in range(red.instance.n):
-        v = red.gadget_of[idx]
-        lines.append(f"{idx} {v[0]} {v[1]} {red.role_of[idx]}")
-    return "\n".join(lines) + "\n"
+    rows = enumerate(zip(red.gadget_of, red.role_of))
+    return "".join(f"{idx} {v[0]} {v[1]} {role}\n" for idx, (v, role) in rows)
 
 
 def _cmd_reduce(args) -> int:
@@ -276,10 +273,8 @@ def _cmd_ham(args) -> int:
     if red is None:
         return 0
     assignment = reduction.assignment_from_ham_path(red, path)
-    value = interference(red.instance, assignment)
-    if not is_valid(red.instance, assignment):
-        raise InvariantError("encoded assignment failed validation")
-    print(f"interference: {value}")
+    verify_witness(red.instance, assignment, 5)
+    print("interference: 5")
     if args.points_out:
         _write(args.points_out, textio.format_points(red.instance))
         _write(args.points_out + ".roles", _roles_sidecar(red))

@@ -50,9 +50,7 @@ def gen_p(i: int) -> FamilyInstance:
     more than the previous diameter."""
     if not 0 <= i <= MAX_P_PARAM:
         raise InputError(f"gen_p parameter must be in [0, {MAX_P_PARAM}], got {i}")
-    coords = _p_coords(i)
-    inst = Instance1D.from_values(coords)
-    return FamilyInstance(inst)
+    return FamilyInstance(Instance1D(tuple(_p_coords(i)), 1))
 
 
 def _p_edges(i: int, side: str) -> dict[int, int]:
@@ -103,9 +101,8 @@ def gen_q(k: int) -> FamilyInstance:
             shifted = [x + hi + gap for x in level]
         blocks.append((f"R_{step + 2}", shifted))
     by_coord = sorted((c, name) for name, block in blocks for c in block)
-    inst = Instance1D.from_values(c for c, _ in by_coord)
     block_map = {idx: name for idx, (_, name) in enumerate(by_coord)}
-    return FamilyInstance(inst, block_map)
+    return FamilyInstance(Instance1D(tuple(c for c, _ in by_coord), 1), block_map)
 
 
 def optimal_assignment_q(k: int) -> ReceiverAssignment:
@@ -117,7 +114,7 @@ def optimal_assignment_q(k: int) -> ReceiverAssignment:
     """
     fam = gen_q(k)
     inst = fam.instance
-    coord_index = {c: idx for idx, c in enumerate(inst.points)}
+    coord_index = {c: idx for idx, c in enumerate(inst.ints)}  # scale 1: ints are the coordinates
     block_indices: dict[str, list[int]] = {}
     for idx in range(inst.n):
         block_indices.setdefault(fam.block_map[idx], []).append(idx)
@@ -133,7 +130,7 @@ def optimal_assignment_q(k: int) -> ReceiverAssignment:
 
     anchor = coord_index[0]
     first = sorted(block_indices["R_2"])
-    edges[anchor] = min(first, key=lambda idx: abs(inst.points[idx] - inst.points[anchor]))
+    edges[anchor] = min(first, key=lambda idx: abs(inst.ints[idx] - inst.ints[anchor]))
     for level in range(2, k + 2):
         edges[roots[level]] = roots[level + 1]
     return ReceiverAssignment(SINKTREE1D, edges, roots[k + 2])
@@ -150,9 +147,8 @@ def gen_log_lower(n: int) -> FamilyInstance:
     core_size = len(coords)
     for _ in range(n - core_size):
         coords.append(coords[-1] + (coords[-1] - coords[0]) + 1)
-    inst = Instance1D.from_values(coords)
     block_map = {idx: ("core" if idx < core_size else "filler") for idx in range(n)}
-    return FamilyInstance(inst, block_map)
+    return FamilyInstance(Instance1D(tuple(coords), 1), block_map)
 
 
 def random_instance_1d(n: int, seed: int, coord_max: int = 100) -> Instance1D:
@@ -162,4 +158,4 @@ def random_instance_1d(n: int, seed: int, coord_max: int = 100) -> Instance1D:
     if n > coord_max + 1:
         raise InputError("coordinate range too small for distinct points")
     rng = random.Random(seed)
-    return Instance1D.from_values(rng.sample(range(coord_max + 1), n))
+    return Instance1D(tuple(sorted(rng.sample(range(coord_max + 1), n))), 1)

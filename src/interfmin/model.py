@@ -1,11 +1,13 @@
 """Exact-arithmetic core model: point sets, receiver assignments, transmission
 ranges, interference, and the structural predicates shared by every solver.
 
-Coordinates are stored as `fractions.Fraction`, but no solver compares them as
-Fractions.  Each instance lazily builds one integer view, `ints`: every
-coordinate times L, the least common multiple of all denominators in the
-instance (one L serves both axes in 2D).  Because L > 0, the view keeps the
-order of coordinates, the signs of their differences and the order of squared
+Each instance stores its coordinates as integers, `ints`, over one positive
+`scale`: coordinate i is ints[i] / scale, and scale is the least common
+denominator of all coordinates (one scale serves both axes in 2D), so equal
+point sets are equal instances.  Rationals become integers only where values
+enter (`lattice`), and the derived `points` turns them back into Fractions
+on request.  Because scale > 0, the integers keep the order of
+coordinates, the signs of their differences and the order of squared
 distances exactly, and those are the only things the model and the solvers
 ask of the geometry; so every coverage and distance test runs on Python ints,
 with no floats and no rounding.  Points are addressed by index: position in
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InputError, InvariantError
@@ -33,79 +35,89 @@ ASYM2D = "asym2d"
 SINKTREE1D = "sinktree1d"
 
 
-def as_rational(value) -> Fraction:
-    """Coerce ints, strings like '3' or '-3/4', and Fractions to Fraction."""
+def as_rational(value) -> int | Fraction:
+    """Coerce ints, strings like '3' or '-3/4', and Fractions to an exact
+    rational; unsigned decimal strings, most of a point file, skip Fraction."""
+    if type(value) is str and value.isdecimal():
+        return int(value)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"not a rational number: {value!r}") from exc
 
 
+def lattice(values: Iterable) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator: (ints, scale)."""
+    qs = [as_rational(v) for v in values]
+    scale = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (scale // q.denominator) for q in qs], scale
+
+
+def _check_scale(scale: int, coords: Iterable[int]) -> None:
+    """Raise InputError unless `scale` is the least common denominator of the c / scale."""
+    if not (scale > 0 and gcd(scale, *coords) == 1):
+        raise InputError(f"scale {scale} is not the least common denominator of the coordinates")
+
+
 @dataclass(frozen=True)
 class Instance1D:
-    """Strictly increasing coordinates on the line; indices follow this order."""
+    """Strictly increasing coordinates ints[i] / scale; indices follow this order."""
 
-    points: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+    scale: int
 
     def __post_init__(self):
-        if len(self.points) < 1:
+        xs = self.ints
+        if len(xs) < 1:
             raise InputError("1D instance needs at least one point")
-        for a, b in zip(self.points, self.points[1:]):
+        _check_scale(self.scale, xs)
+        for a, b in zip(xs, xs[1:]):
             if not a < b:
                 if a == b:
-                    raise InputError(f"duplicate 1D point: {a}")
+                    raise InputError(f"duplicate 1D point: {Fraction(a, self.scale)}")
                 raise InputError("1D points must be strictly increasing")
 
     @classmethod
     def from_values(cls, values: Iterable) -> "Instance1D":
-        return cls(tuple(sorted(as_rational(v) for v in values)))
+        ints, scale = lattice(values)
+        return cls(tuple(sorted(ints)), scale)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.ints)
 
     def diameter(self) -> Fraction:
-        return self.points[-1] - self.points[0]
+        return Fraction(self.ints[-1] - self.ints[0], self.scale)
 
     @cached_property
-    def ints(self) -> tuple[int, ...]:
-        """Coordinates scaled to integers by the LCM of their denominators."""
-        scale = lcm(*(x.denominator for x in self.points))
-        return tuple(x.numerator * (scale // x.denominator) for x in self.points)
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.scale) for x in self.ints)
 
 
 @dataclass(frozen=True)
 class Instance2D:
-    """Planar points in input order; must be pairwise distinct."""
+    """Pairwise distinct planar points (x / scale, y / scale) in input order."""
 
-    points: tuple[tuple[Fraction, Fraction], ...]
+    ints: tuple[tuple[int, int], ...]
+    scale: int
 
     def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+        _check_scale(self.scale, (c for p in self.ints for c in p))
+        if len(set(self.ints)) != len(self.ints):
             raise InputError("2D points must be pairwise distinct")
 
     @classmethod
     def from_values(cls, values: Iterable) -> "Instance2D":
-        pts = tuple((as_rational(x), as_rational(y)) for x, y in values)
-        return cls(pts)
+        flat, scale = lattice(c for x, y in values for c in (x, y))
+        return cls(tuple(zip(flat[::2], flat[1::2])), scale)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.ints)
 
     @cached_property
-    def scale(self) -> int:
-        """The LCM of all denominators on both axes: `ints` is `points` times this."""
-        return lcm(*(c.denominator for p in self.points for c in p))
-
-    @cached_property
-    def ints(self) -> tuple[tuple[int, int], ...]:
-        """Points scaled to integers by `scale`."""
-        scale = self.scale
-        return tuple(
-            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-            for x, y in self.points
-        )
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(x, self.scale), Fraction(y, self.scale)) for x, y in self.ints)
 
 
 Instance = Union[Instance1D, Instance2D]
@@ -373,5 +385,5 @@ def scale_instance(instance: Instance, factor: Fraction) -> Instance:
     if factor <= 0:
         raise InputError("scale factor must be positive")
     if isinstance(instance, Instance1D):
-        return Instance1D(tuple(x * factor for x in instance.points))
-    return Instance2D(tuple((x * factor, y * factor) for x, y in instance.points))
+        return Instance1D.from_values(x * factor for x in instance.points)
+    return Instance2D.from_values((x * factor, y * factor) for x, y in instance.points)

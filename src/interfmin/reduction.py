@@ -25,17 +25,16 @@ keeps the perpendicular stations and the connector outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil
+from math import lcm
 
 from .errors import CapExceededError, InputError, InvariantError
 from .model import ASYM2D, Instance2D, ReceiverAssignment, as_rational, communication_graph_2d
 from .model import _reach, dist2, near_lists
 
 Vertex = tuple[int, int]
-Point = tuple[Fraction, Fraction]
 
 # Fixed direction order: +x < -x < +y < -y (used for all placement choices).
 DIRECTIONS: tuple[Vertex, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -49,10 +48,6 @@ DEFAULT_EPSILON = Fraction(1, 64)
 SATELLITE_SPACING = Fraction(5, 16)
 
 FIND_HAM_PATH_CAP = 16
-
-
-def _clockwise(d: Vertex) -> Vertex:
-    return (d[1], -d[0])
 
 
 @dataclass(frozen=True)
@@ -91,31 +86,40 @@ class GridGraph:
 
 
 @dataclass(frozen=True)
-class GadgetLayout:
-    epsilon: Fraction
-    roles: dict[str, Point]
-    satellite_directions: dict[str, Vertex]
-
-
-@dataclass(frozen=True)
 class ReductionOutput:
+    """The gadget instance.  Gadget i, of the i-th vertex in sorted order,
+    holds points 13i .. 13i + 12 in ROLE_ORDER."""
+
     instance: Instance2D
-    gadget_of: dict[int, Vertex]
-    role_of: dict[int, str]
+    epsilon: Fraction
+    vertices: tuple[Vertex, ...]
     partner: dict[int, int]
-    layouts: dict[Vertex, GadgetLayout] = field(default_factory=dict)
+
+    @cached_property
+    def gadget_of(self) -> tuple[Vertex, ...]:
+        return tuple(v for v in self.vertices for _ in ROLE_ORDER)
+
+    @cached_property
+    def role_of(self) -> tuple[str, ...]:
+        return ROLE_ORDER * len(self.vertices)
 
     @cached_property
     def _base_index(self) -> dict[Vertex, int]:
-        """Index of each gadget's first point; gadgets follow sorted vertex order."""
-        return {v: i * len(ROLE_ORDER) for i, v in enumerate(sorted(self.layouts))}
+        return {v: i * len(ROLE_ORDER) for i, v in enumerate(self.vertices)}
 
     def index_of(self, vertex: Vertex, role: str) -> int:
         return self._base_index[vertex] + _ROLE_OFFSET[role]
 
 
-def build_gadget(vertex: Vertex, incident_dirs, epsilon=DEFAULT_EPSILON) -> GadgetLayout:
-    """Place the 13 gadget points for one grid vertex.
+def gadget_scale(epsilon: Fraction) -> int:
+    """lcm(16, den epsilon), the least common denominator of a reduction's
+    coordinates: grid edges, the spacing and epsilon are 1, 5/16 and epsilon."""
+    return lcm(SATELLITE_SPACING.denominator, epsilon.denominator)
+
+
+def build_gadget(vertex: Vertex, incident_dirs, epsilon=DEFAULT_EPSILON) -> dict[str, Vertex]:
+    """The 13 gadget points of one grid vertex by role, in ROLE_ORDER, on the
+    lattice of unit 1 / gadget_scale(epsilon).
 
     Satellites take the incident directions first; with fewer than three
     incident edges the remaining stations go to the smallest free directions,
@@ -130,38 +134,33 @@ def build_gadget(vertex: Vertex, incident_dirs, epsilon=DEFAULT_EPSILON) -> Gadg
     if len(set(dirs)) != len(dirs) or any(d not in DIRECTIONS for d in dirs):
         raise InputError(f"bad incident directions: {dirs}")
 
-    sat_dirs = sorted(dirs, key=DIRECTIONS.index)
-    for d in DIRECTIONS:
-        if len(sat_dirs) == 3:
-            break
-        if d not in sat_dirs:
-            sat_dirs.append(d)
-    connector_dir = next(d for d in DIRECTIONS if d not in sat_dirs)
-    sat_dirs = sorted(sat_dirs, key=DIRECTIONS.index)
+    connector_dir = [d for d in DIRECTIONS if d not in dirs][-1]
+    sat_dirs = [d for d in DIRECTIONS if d != connector_dir]
 
-    vx, vy = Fraction(vertex[0]), Fraction(vertex[1])
-    sp = SATELLITE_SPACING
+    # The vertex, the satellite spacing and epsilon in lattice units.
+    scale = gadget_scale(eps)
+    vx, vy = vertex[0] * scale, vertex[1] * scale
+    sp = SATELLITE_SPACING.numerator * (scale // SATELLITE_SPACING.denominator)
+    e = eps.numerator * (scale // eps.denominator)
 
-    def at(direction: Vertex, distance: Fraction) -> Point:
+    def at(direction: Vertex, distance: int) -> Vertex:
         return (vx + distance * direction[0], vy + distance * direction[1])
 
-    roles: dict[str, Point] = {"M": (vx, vy)}
-    satellite_directions: dict[str, Vertex] = {}
+    roles: dict[str, Vertex] = {"M": (vx, vy)}
     for i, d in enumerate(sat_dirs, start=1):
         s = at(d, sp)
-        cw = _clockwise(d)
+        cw = (d[1], -d[0])  # d turned clockwise
         roles[f"S{i}"] = s
-        roles[f"S{i}p"] = (s[0] + eps * cw[0], s[1] + eps * cw[1])
-        satellite_directions[f"S{i}"] = d
+        roles[f"S{i}p"] = (s[0] + e * cw[0], s[1] + e * cw[1])
 
-    roles["C"] = at(connector_dir, sp + eps)
-    center = at(connector_dir, 2 * sp + 3 * eps)
+    roles["C"] = at(connector_dir, sp + e)
+    center = at(connector_dir, 2 * sp + 3 * e)
     roles["Ic"] = center
     offsets = [(-connector_dir[0], -connector_dir[1])]  # nearest the connector
     offsets += [d for d in DIRECTIONS if d != offsets[0]]
     for j, d in enumerate(offsets[:4], start=1):
-        roles[f"I{j}"] = (center[0] + eps * d[0], center[1] + eps * d[1])
-    return GadgetLayout(eps, roles, satellite_directions)
+        roles[f"I{j}"] = (center[0] + e * d[0], center[1] + e * d[1])
+    return roles
 
 
 def reduce_grid(grid: GridGraph, epsilon=DEFAULT_EPSILON, run_checks: bool = True) -> ReductionOutput:
@@ -171,31 +170,25 @@ def reduce_grid(grid: GridGraph, epsilon=DEFAULT_EPSILON, run_checks: bool = Tru
     if grid.max_degree() > 3:
         raise InputError("grid graph must have maximum degree 3")
 
-    vertices = sorted(grid.vertices)
-    layouts: dict[Vertex, GadgetLayout] = {}
-    points: list[Point] = []
-    gadget_of: dict[int, Vertex] = {}
-    role_of: dict[int, str] = {}
+    eps = Fraction(as_rational(epsilon))
+    vertices = tuple(sorted(grid.vertices))
+    points: list[Vertex] = []
     for v in vertices:
-        dirs = [(w[0] - v[0], w[1] - v[1]) for w in grid.neighbors(v)]
-        layout = build_gadget(v, dirs, epsilon)
-        layouts[v] = layout
-        for role in ROLE_ORDER:
-            gadget_of[len(points)] = v
-            role_of[len(points)] = role
-            points.append(layout.roles[role])
+        points += build_gadget(v, [(w[0] - v[0], w[1] - v[1]) for w in grid.neighbors(v)], eps).values()
+    scale = gadget_scale(eps)
 
-    result = ReductionOutput(Instance2D(tuple(points)), gadget_of, role_of, {}, layouts)
+    # Across each grid edge, the satellites facing each other sit the
+    # satellite spacing in from either end.
+    sp = SATELLITE_SPACING.numerator * (scale // SATELLITE_SPACING.denominator)
+    index = {p: i for i, p in enumerate(points)}
+    partner: dict[int, int] = {}
     for u, w in grid.edges():
-        d_uw = (w[0] - u[0], w[1] - u[1])
-        d_wu = (-d_uw[0], -d_uw[1])
-        role_u = next(r for r, d in layouts[u].satellite_directions.items() if d == d_uw)
-        role_w = next(r for r, d in layouts[w].satellite_directions.items() if d == d_wu)
-        iu = result.index_of(u, role_u)
-        iw = result.index_of(w, role_w)
-        result.partner[iu] = iw
-        result.partner[iw] = iu
+        dx, dy = w[0] - u[0], w[1] - u[1]
+        a = index[u[0] * scale + sp * dx, u[1] * scale + sp * dy]
+        b = index[w[0] * scale - sp * dx, w[1] * scale - sp * dy]
+        partner[a], partner[b] = b, a
 
+    result = ReductionOutput(Instance2D(tuple(points), scale), eps, vertices, partner)
     if run_checks:
         problems = geometry_violations(result)
         if problems:
@@ -221,44 +214,48 @@ def geometry_violations(red: ReductionOutput) -> list[str]:
       other gadgets (with room to spare: the hub sits about eps further out
       than the nearest inhibitor point), and every inhibitor pair of
       grid-adjacent or diagonal gadgets is checked against the floor.
+
+    Every length is compared in units of 1 / instance.scale, a multiple of
+    gadget_scale(epsilon), where all of them are integers.
     """
+    eps = red.epsilon
+    scale = red.instance.scale
     problems: list[str] = []
     pts = red.instance.ints
-    eps = {layout.epsilon for layout in red.layouts.values()}.pop()
-    sp = SATELLITE_SPACING
-    path_radius = 1 - 2 * sp
+    sp = SATELLITE_SPACING.numerator * (scale // SATELLITE_SPACING.denominator)
+    e = eps.numerator * (scale // eps.denominator)
+    path_radius = scale - 2 * sp  # a grid edge is `scale` long
 
-    if not sp * sp + (sp - eps) ** 2 > path_radius**2:
+    if not sp * sp + (sp - e) ** 2 > path_radius**2:
         problems.append(f"epsilon {eps} too large: a path satellite reaches a perpendicular station")
-    floor = 1 - 2 * sp - 4 * eps  # separation floor divided by sqrt(2)
+    floor = scale - 2 * sp - 4 * e  # separation floor divided by sqrt(2)
     floor2 = 2 * floor * floor
-    if not (floor > 0 and floor2 > (sp + 2 * eps) ** 2):
+    if not (floor > 0 and floor2 > (sp + 2 * e) ** 2):
         problems.append(f"epsilon {eps} too large: an inhibitor hub reaches another gadget's inhibitor")
 
-    # Squared lengths in squared units of the integer view; an int distance d
-    # satisfies d < t exactly when d < ceil(t).
-    scale2 = red.instance.scale ** 2
-    eps2, tie, sat2 = eps * eps * scale2, (sp + eps) ** 2 * scale2, sp * sp * scale2
+    eps2, tie, sat2 = e * e, (sp + e) ** 2, sp * sp
     index_of = red.index_of
     to_main = [
-        dist2(pts[index_of(v, f"S{i}")], pts[index_of(v, "M")]) for v in red.layouts for i in (1, 2, 3)
+        dist2(pts[index_of(v, f"S{i}")], pts[index_of(v, "M")]) for v in red.vertices for i in (1, 2, 3)
     ]
     # The largest squared radius scanned below is eps2, the tie or a
     # satellite's distance to its main point (which need not be the designed one).
-    near = near_lists(pts, ceil(max(eps2, tie, *to_main)))
+    near = near_lists(pts, max(eps2, tie, *to_main))
 
     def has_near(i: int, limit: int, skip: tuple[int, ...]) -> bool:
         """True iff a point outside `skip` lies within squared distance `limit` of point i."""
         p = pts[i]
         return any(dist2(p, pts[j]) <= limit for j in near[i] if j not in skip)
 
-    for v, layout in sorted(red.layouts.items()):
-        r = layout.roles
-        d_mc = abs(r["C"][0] - r["M"][0]) + abs(r["C"][1] - r["M"][1])
-        d_ci = abs(r["Ic"][0] - r["C"][0]) + abs(r["Ic"][1] - r["C"][1])
-        if d_mc + eps != d_ci:
+    def l1(a: int, b: int) -> int:
+        return abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
+
+    for v in red.vertices:
+        m_idx, c_idx = index_of(v, "M"), index_of(v, "C")
+        d_mc = l1(c_idx, m_idx)
+        if d_mc + e != l1(index_of(v, "Ic"), c_idx):
             problems.append(f"{v}: connector-to-inhibitor spacing is off")
-        if d_mc != sp + eps:
+        if d_mc != sp + e:
             problems.append(f"{v}: connector distance is off")
 
         def nearest_ok(role: str, expected: str) -> None:
@@ -277,29 +274,27 @@ def geometry_violations(red: ReductionOutput) -> list[str]:
 
         # The connector's nearest points are the main point and the closest
         # inhibitor point, both exactly at the satellite distance plus epsilon.
-        c_idx = index_of(v, "C")
-        if dist2(pts[c_idx], pts[index_of(v, "M")]) != tie:
+        if dist2(pts[c_idx], pts[m_idx]) != tie:
             problems.append(f"{v}: connector-to-main distance is off")
         if dist2(pts[c_idx], pts[index_of(v, "I1")]) != tie:
             problems.append(f"{v}: connector-to-inhibitor distance is off")
-        if has_near(c_idx, ceil(tie) - 1, (c_idx,)):
+        if has_near(c_idx, tie - 1, (c_idx,)):
             problems.append(f"{v}: connector has a too-close neighbor")
 
         # Each satellite's nearest point outside its own station is the main point.
         for i in (1, 2, 3):
             s_idx = index_of(v, f"S{i}")
-            d_main = dist2(pts[s_idx], pts[index_of(v, "M")])
+            d_main = dist2(pts[s_idx], pts[m_idx])
             if d_main != sat2:
                 problems.append(f"{v}: satellite {i} is not at the main-point distance")
-            if has_near(s_idx, d_main, (s_idx, index_of(v, f"S{i}p"), index_of(v, "M"))):
+            if has_near(s_idx, d_main, (s_idx, index_of(v, f"S{i}p"), m_idx)):
                 problems.append(f"{v}: satellite {i} has a non-main nearest neighbor")
 
     # Inhibitors of grid-adjacent and diagonal gadgets stay far apart.
-    floor2 = ceil(floor2 * scale2)
     cluster = {
-        v: [pts[index_of(v, role)] for role in ("Ic", "I1", "I2", "I3", "I4")] for v in red.layouts
+        v: [pts[index_of(v, role)] for role in ("Ic", "I1", "I2", "I3", "I4")] for v in red.vertices
     }
-    for v in sorted(cluster):
+    for v in cluster:
         for d in ((1, -1), (1, 0), (1, 1), (0, 1)):
             w = (v[0] + d[0], v[1] + d[1])
             if w in cluster and any(dist2(a, b) < floor2 for a in cluster[v] for b in cluster[w]):
@@ -348,10 +343,9 @@ def _path_edges(grid: GridGraph, path: list[Vertex]) -> set[frozenset]:
 
 def assignment_from_ham_path(red: ReductionOutput, path: list[Vertex]) -> ReceiverAssignment:
     """Receiver assignment with interference exactly 5 encoding the given path."""
-    grid = GridGraph.from_vertices(red.layouts)
-    on_path = _path_edges(grid, path)
+    on_path = _path_edges(GridGraph.from_vertices(red.vertices), path)
     receiver: dict[int, int] = {}
-    for v, layout in red.layouts.items():
+    for v in red.vertices:
         idx = {role: red.index_of(v, role) for role in ROLE_ORDER}
         receiver[idx["M"]] = idx["C"]
         receiver[idx["C"]] = idx["M"]
@@ -359,13 +353,11 @@ def assignment_from_ham_path(red: ReductionOutput, path: list[Vertex]) -> Receiv
         for j in (1, 2, 3, 4):
             receiver[idx[f"I{j}"]] = idx["Ic"]
         for i in (1, 2, 3):
-            receiver[idx[f"S{i}p"]] = idx[f"S{i}"]
-            d = layout.satellite_directions[f"S{i}"]
-            w = (v[0] + d[0], v[1] + d[1])
-            if frozenset((v, w)) in on_path:
-                receiver[idx[f"S{i}"]] = red.partner[idx[f"S{i}"]]
-            else:
-                receiver[idx[f"S{i}"]] = idx["M"]
+            s = idx[f"S{i}"]
+            receiver[idx[f"S{i}p"]] = s
+            q = red.partner.get(s)  # the partner across a grid edge, if any
+            on = q is not None and frozenset((v, red.gadget_of[q])) in on_path
+            receiver[s] = q if on else idx["M"]
     return ReceiverAssignment(ASYM2D, receiver)
 
 

@@ -10,6 +10,8 @@ integer pair per line; edges are implicit between L1-distance-1 pairs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import InputError
 from .model import (
     ASYM2D,
@@ -46,10 +48,12 @@ def parse_points(text: str) -> Instance:
 
 
 def format_points(instance: Instance) -> str:
+    # Fraction renders as `a` or `a/b`; `points` would keep its Fractions for good.
+    s = instance.scale
     if isinstance(instance, Instance1D):
-        body = "\n".join(str(x) for x in instance.points)  # Fraction renders as `a` or `a/b`
+        body = "\n".join(str(Fraction(x, s)) for x in instance.ints)
     else:
-        body = "\n".join(f"{x} {y}" for x, y in instance.points)
+        body = "\n".join(f"{Fraction(x, s)} {Fraction(y, s)}" for x, y in instance.ints)
     return body + "\n"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -314,3 +315,63 @@ def test_gen_random_deterministic(capsys):
     code, out2, _ = run(capsys, "gen", "random", "6", "--seed", "11")
     assert out1 == out2
     assert len(out1.split()) == 6
+
+
+# sha256 of the files `reduce -o` and `ham assign --points-out/--assign-out`
+# write, and of `ham assign`'s stdout, recorded when instances still stored
+# Fraction coordinates and gadgets were placed with Fraction arithmetic.
+# The roles, the encoded assignment and the stdout do not depend on epsilon.
+GOLDEN_GRIDS = {
+    "path3": (
+        "0 0\n1 0\n2 0\n",
+        "c5eb88172116568344f4f4bfa548739f72b35ea9d24102ca3ab2d14ec0e6f500",
+        "7fbc063bd9555a364c4f3cd9f4acb4242c61ce5ab6c97bd11b698225ffeb485f",
+        "5551c8a8b276c939f04f95bf50066b23074b626e118c8572bb4de57c976433fe",
+    ),
+    "lshape": (
+        "0 0\n0 1\n0 2\n0 3\n1 0\n2 0\n",
+        "6785df1cd35b33618afc4c1a71606b07915659aba8c94a3309d97a12c237c84b",
+        "a4aaa42357c3452c1da3a2def1ca0efbebbbf0c0fdb6fbfca619f2a58a95441b",
+        "cdc9a532fbbb27e1c172c40e3c83ec65a1403a8d9088b973a15bd2d90bda10a4",
+    ),
+    "ladder3": (
+        "0 0\n0 1\n1 0\n1 1\n2 0\n2 1\n",
+        "573cbf2c61974da3418dd15dfb97e82383630c616c4a1e10cdc12fbb3cac7c18",
+        "e008d4499240068f5d1d01dce6a550992d6c64c4f764aba6e1552a78906f5520",
+        "88b44134ca2dd58f17bac4bdeed9684a3019902a89759f552213505e5b68367b",
+    ),
+}
+GOLDEN_POINTS = {
+    ("path3", "1/64"): "7958c8f6fcb1f2c42b593553e671bb0e6153bf394ab6191ea67867370bebba01",
+    ("path3", "1/100"): "be21173ba14ef629719eaf99fd1cc19955993ce5ad73ae0b1db013fd0c9d701e",
+    ("path3", "3/1000"): "bb318e5bf04ce7e7b54233b7ac3dd95ffeda809e3240ccb0541d07c730678824",
+    ("lshape", "1/64"): "402e44f21e66873f4cc3d72e295dc55febc56a5a03d159a6bb4abfd315fa4f19",
+    ("lshape", "1/100"): "3b0a429565b37b3ae4a381bbebc6a28acffbc0dbbc51907881aa4dd546b18d33",
+    ("lshape", "3/1000"): "8b93db50a11970cd5758d8f789270091a1e9da6a6399a6d6f1dc6eef00e0a56d",
+    ("ladder3", "1/64"): "ab40106d3f569a74ddd8094f4f0c9114f85da10d2232af7e8900bf8b6527ede1",
+    ("ladder3", "1/100"): "588976e7ee3cfd4832a813314454263d81a1eec85d4425a1ae973a03a7929c85",
+    ("ladder3", "3/1000"): "9ba324753789de0a1db82a203883cdbd6b90e72c3985ffd55ab86f43c59869ba",
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, eps", sorted(GOLDEN_POINTS), ids=lambda x: str(x))
+def test_reduce_and_ham_assign_golden_files(tmp_path, capsys, name, eps):
+    text, roles, assign, ham_out = GOLDEN_GRIDS[name]
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text)
+    reduced, points, encoded = tmp_path / "red.txt", tmp_path / "pts.txt", tmp_path / "e.assign"
+    assert run(capsys, "reduce", str(grid), "--epsilon", eps, "-o", str(reduced)) == (0, "", "")
+    code, out, _ = run(
+        capsys, "ham", "assign", str(grid), "--epsilon", eps,
+        "--points-out", str(points), "--assign-out", str(encoded),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ham_out
+    for path in (reduced, points):
+        assert sha256_of(path) == GOLDEN_POINTS[name, eps]
+        assert sha256_of(f"{path}.roles") == roles
+    assert sha256_of(encoded) == assign

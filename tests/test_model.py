@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,8 @@ from interfmin.model import (
     scale_instance,
 )
 from interfmin.nna import nna
+from interfmin.reduction import GridGraph, reduce_grid
+from interfmin.textio import format_points, parse_points
 
 TRIANGLE = Instance2D.from_values([(0, 0), (1, 0), (0, 1)])
 TRIANGLE_N = ReceiverAssignment(ASYM2D, {0: 1, 1: 2, 2: 0})
@@ -474,3 +478,91 @@ def test_integer_view_scales_by_the_lcm():
 def test_nna_is_scale_invariant(coords, factor):
     inst = Instance1D.from_values(coords)
     assert nna(scale_instance(inst, factor)) == nna(inst)
+
+
+# --- stored lattice: equal point sets are equal instances -----------------
+
+REDUCTION_GRIDS = ([(0, 0), (1, 0)], [(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 1), (1, 0)])
+REDUCTION_EPSILONS = (Fraction(1, 64), Fraction(1, 100), Fraction(3, 1000))
+
+
+@lru_cache(maxsize=None)
+def reduced_instance(grid: int, eps: Fraction) -> Instance2D:
+    return reduce_grid(GridGraph.from_vertices(REDUCTION_GRIDS[grid]), eps).instance
+
+
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def point_sets(draw):
+    """The Fraction points of a small 1D or 2D set, or of a gadget reduction."""
+    kind = draw(st.sampled_from(("1d", "2d", "reduce")))
+    if kind == "1d":
+        return tuple(sorted(draw(st.lists(SMALL_RATIONALS, min_size=1, max_size=3, unique=True))))
+    if kind == "2d":
+        pairs = st.tuples(SMALL_RATIONALS, SMALL_RATIONALS)
+        return tuple(draw(st.lists(pairs, min_size=1, max_size=3, unique=True)))
+    grid = draw(st.integers(0, len(REDUCTION_GRIDS) - 1))
+    return reduced_instance(grid, draw(st.sampled_from(REDUCTION_EPSILONS))).points
+
+
+@st.composite
+def built_instances(draw, points):
+    """An instance of `points` built along one of the routes into the model."""
+    cls = Instance2D if isinstance(points[0], tuple) else Instance1D
+    route = draw(st.sampled_from(("values", "scaled", "text")))
+    if route == "values" and cls is Instance1D:
+        return cls.from_values(draw(st.permutations([str(p) for p in points])))
+    if route == "values":
+        return cls.from_values(points)
+    if route == "scaled":
+        factor = draw(st.fractions(min_value=Fraction(1, 9), max_value=9))
+        if cls is Instance1D:
+            return scale_instance(cls.from_values(p / factor for p in points), factor)
+        return scale_instance(cls.from_values((x / factor, y / factor) for x, y in points), factor)
+    return parse_points(format_points(cls.from_values(points)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_instances_are_equal_exactly_when_their_points_are(data):
+    first = data.draw(point_sets())
+    second = first if data.draw(st.booleans()) else data.draw(point_sets())
+    a = data.draw(built_instances(first))
+    b = data.draw(built_instances(second))
+    assert a.points == first and b.points == second
+    assert (a == b) == (a.points == b.points)
+    if a == b:
+        assert hash(a) == hash(b)
+    for grid in range(len(REDUCTION_GRIDS)):
+        for eps in REDUCTION_EPSILONS:
+            red = reduced_instance(grid, eps)
+            assert (red == a) == (red.points == a.points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=4, unique=True),
+    st.integers(-6, 12),
+    st.booleans(),
+)
+def test_direct_construction_needs_the_least_common_denominator(ints, scale, planar):
+    lowest = scale > 0 and lcm(*(Fraction(x, scale).denominator for x in ints)) == scale
+    ints = tuple(sorted(ints))
+    cls, coords = (Instance2D, tuple((x, -x) for x in ints)) if planar else (Instance1D, ints)
+    if lowest:
+        inst = cls(coords, scale)
+        assert inst.scale == scale and cls.from_values(inst.points) == inst
+    else:
+        with pytest.raises(InputError):
+            cls(coords, scale)
+
+
+def test_direct_construction_takes_only_integers():
+    with pytest.raises(TypeError):
+        Instance1D((Fraction(1, 2), 1), 1)
+    with pytest.raises(TypeError):
+        Instance1D((1, 2), Fraction(1))
+    with pytest.raises(TypeError):
+        Instance2D(((0, 0), (1, 0)), 1.0)

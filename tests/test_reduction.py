@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 
 import pytest
 
@@ -25,6 +26,7 @@ from interfmin.reduction import (
     build_gadget,
     extract_connection_structure,
     find_ham_path,
+    gadget_scale,
     geometry_violations,
     reduce_grid,
 )
@@ -42,18 +44,20 @@ def path_grid(k):
 
 
 def test_gadget_coordinates():
+    # Positions in units of 1/64, the lattice of epsilon 1/64.
     g = build_gadget((0, 0), [(1, 0), (-1, 0), (0, 1)], EPS)
-    assert g.roles["C"] == (0, -Fraction(21, 64))  # -(s + eps)
-    assert g.roles["Ic"] == (0, -Fraction(43, 64))  # -(2s + 3 eps)
-    assert g.roles["I1"] == (0, -Fraction(42, 64))  # -(2s + 2 eps)
-    assert len(g.roles) == 13
+    assert gadget_scale(EPS) == 64
+    assert g["C"] == (0, -21)  # -(s + eps)
+    assert g["Ic"] == (0, -43)  # -(2s + 3 eps)
+    assert g["I1"] == (0, -42)  # -(2s + 2 eps)
+    assert len(g) == 13
 
 
 def test_satellite_prime_is_clockwise():
+    # Stations go to +x, -x and +y in that order, so S3 faces up.
     g = build_gadget((0, 0), [(0, 1)], EPS)
-    up = next(r for r, d in g.satellite_directions.items() if d == (0, 1))
-    assert g.roles[up] == (0, SPACING)
-    assert g.roles[up + "p"] == (EPS, SPACING)
+    assert g["S3"] == (0, SPACING * 64)
+    assert g["S3p"] == (EPS * 64, SPACING * 64)
 
 
 def test_gadget_degree_errors():
@@ -209,7 +213,7 @@ def test_all_satellites_inward_is_invalid():
     path = find_ham_path(grid)
     assignment = assignment_from_ham_path(red, path)
     inward = dict(assignment.receiver)
-    for idx, role in red.role_of.items():
+    for idx, role in enumerate(red.role_of):
         if role in ("S1", "S2", "S3") and red.partner.get(idx) is not None:
             inward[idx] = red.index_of(red.gadget_of[idx], "M")
     broken = ReceiverAssignment(ASYM2D, inward)
@@ -234,7 +238,7 @@ def quadratic_geometry_violations(red):
     scan runs over all points, on the Fraction coordinates."""
     problems = []
     pts = red.instance.points
-    eps = {layout.epsilon for layout in red.layouts.values()}.pop()
+    eps = red.epsilon
     sp = SATELLITE_SPACING
     path_radius = 1 - 2 * sp
 
@@ -245,8 +249,8 @@ def quadratic_geometry_violations(red):
     if not (floor > 0 and floor2 > (sp + 2 * eps) ** 2):
         problems.append(f"epsilon {eps} too large: an inhibitor hub reaches another gadget's inhibitor")
 
-    for v, layout in sorted(red.layouts.items()):
-        r = layout.roles
+    for v in sorted(red.vertices):
+        r = {role: pts[red.index_of(v, role)] for role in ("M", "C", "Ic")}
         d_mc = abs(r["C"][0] - r["M"][0]) + abs(r["C"][1] - r["M"][1])
         d_ci = abs(r["Ic"][0] - r["C"][0]) + abs(r["Ic"][1] - r["C"][1])
         if d_mc + eps != d_ci:
@@ -293,7 +297,7 @@ def quadratic_geometry_violations(red):
                     break
 
     inhibitor = ("Ic", "I1", "I2", "I3", "I4")
-    cluster = {v: [pts[red.index_of(v, role)] for role in inhibitor] for v in red.layouts}
+    cluster = {v: [pts[red.index_of(v, role)] for role in inhibitor] for v in red.vertices}
     for v in sorted(cluster):
         for d in ((1, -1), (1, 0), (1, 1), (0, 1)):
             w = (v[0] + d[0], v[1] + d[1])
@@ -340,11 +344,14 @@ def reduced(grid, eps):
 
 
 def moved(red, index, offset):
-    """`red` with one point shifted by `offset`; its layouts keep the design."""
-    pts = list(red.instance.points)
-    x, y = pts[index]
-    pts[index] = (x + offset[0], y + offset[1])
-    return replace(red, instance=Instance2D(tuple(pts)))
+    """`red` with one point shifted by `offset`, a pair of Fractions."""
+    k = lcm(offset[0].denominator, offset[1].denominator)
+    scale = red.instance.scale * k  # a common denominator of every coordinate
+    ints = [(x * k, y * k) for x, y in red.instance.ints]
+    x, y = ints[index]
+    ints[index] = (x + int(offset[0] * scale), y + int(offset[1] * scale))
+    g = gcd(scale, *(c for p in ints for c in p))
+    return replace(red, instance=Instance2D(tuple((x // g, y // g) for x, y in ints), scale // g))
 
 
 @pytest.mark.parametrize("eps", EPSILONS, ids=str)

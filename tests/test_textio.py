@@ -37,7 +37,7 @@ def test_parse_points_errors():
     with pytest.raises(InputError, match="^duplicate 1D point: 1/2$"):
         parse_points("0\n1/2\n2/4\n")
     with pytest.raises(InputError, match="^1D points must be strictly increasing$"):
-        Instance1D((Fraction(1), Fraction(0)))
+        Instance1D((1, 0), 1)
 
 
 def test_points_round_trip():
