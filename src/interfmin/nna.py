@@ -6,9 +6,11 @@ way always contain exactly one mutually-pointing adjacent pair; one of that
 pair's sinks survives as the cluster sink and drops its outgoing edge.  The
 final assignment is valid with interference at most ceil(log2 n) + 2.
 
-All ties (equidistant successors, and survivor selection when the
-distinctness rule does not single one out) resolve toward the smaller
-coordinate, which makes runs reproducible.
+Equidistant successors resolve toward the smaller coordinate.  The survivor
+should be at distinct distances from the two points just outside its merged
+cluster: the left sink of the pair survives unless it lies exactly midway
+between them, and then the right sink (which cannot) survives.  Runs are
+therefore reproducible.
 """
 
 from __future__ import annotations
@@ -27,73 +29,43 @@ class Component(NamedTuple):
     sink: int
 
 
-def _successor(instance: Instance1D, comp: Component) -> int:
-    """Closest point to the component sink outside the component interval."""
-    xs = instance.ints
-    left = comp.lo - 1
-    right = comp.hi + 1
-    if left < 0:
-        return right
-    if right >= instance.n:
-        return left
-    if xs[comp.sink] - xs[left] <= xs[right] - xs[comp.sink]:
-        return left  # ties go to the smaller coordinate
-    return right
-
-
 def nna_round(
     instance: Instance1D, components: list[Component], receiver: dict[int, int]
 ) -> list[Component]:
     """One merging round; the component count at most halves.  The edge of
     every sink that does not survive is written into `receiver`."""
-    k = len(components)
-    if k < 2:
+    if len(components) < 2:
         raise InputError("a merging round needs at least two components")
     xs = instance.ints
-    succ_point = [_successor(instance, c) for c in components]
-    succ_comp = [i - 1 if succ_point[i] < components[i].lo else i + 1 for i in range(k)]
-
-    # Consecutive components belong to the same cluster iff a successor edge
-    # links them; clusters are therefore contiguous runs.
-    runs: list[tuple[int, int]] = []
-    start = 0
-    for i in range(k - 1):
-        if succ_comp[i] != i + 1 and succ_comp[i + 1] != i:
-            runs.append((start, i))
-            start = i + 1
-    runs.append((start, k - 1))
-
+    last = instance.n - 1
     merged: list[Component] = []
-    for r, (a, b) in enumerate(runs):
-        if a == b:
-            raise InvariantError("cluster with a single component")
-        pair = [i for i in range(a, b) if succ_comp[i] == i + 1 and succ_comp[i + 1] == i]
-        if len(pair) != 1:
-            raise InvariantError(f"cluster cycle must have exactly one mutual pair, got {len(pair)}")
-        i = pair[0]
-        lo = components[a].lo
-        hi = components[b].hi
-
-        def distinct(sink: int) -> bool:
-            dists = []
-            if r > 0:
-                dists.append(xs[sink] - xs[components[runs[r - 1][1]].hi])
-            if r < len(runs) - 1:
-                dists.append(xs[components[runs[r + 1][0]].lo] - xs[sink])
-            return len(dists) < 2 or dists[0] != dists[1]
-
-        left_sink = components[i].sink
-        right_sink = components[i + 1].sink
-        if distinct(left_sink):
-            survivor = left_sink
-        elif distinct(right_sink):
-            survivor = right_sink
+    start = 0  # first component of the open cluster
+    pairs: list[int] = []  # i of each mutual pair (i, i + 1) in the open cluster
+    was_left = False
+    for i in range(len(components) + 1):
+        if i < len(components):
+            lo, hi, sink = components[i]
+            # Components tile the line, so the successor is the nearer of
+            # lo - 1 and hi + 1; ties go left.
+            is_left = hi == last or (lo > 0 and xs[sink] - xs[lo - 1] <= xs[hi + 1] - xs[sink])
+            receiver[sink] = lo - 1 if is_left else hi + 1
         else:
-            survivor = left_sink
-        for j in range(a, b + 1):
-            if components[j].sink != survivor:
-                receiver[components[j].sink] = succ_point[j]
-        merged.append(Component(lo, hi, survivor))
+            is_left = False  # the end of the line closes the last cluster
+        if is_left and not was_left:
+            pairs.append(i - 1)
+        elif was_left and not is_left:
+            # A left-pointing component meets a right-pointing one: the
+            # cluster of components start .. i - 1 is complete.
+            if len(pairs) != 1:
+                raise InvariantError(f"cluster must have exactly one mutual pair, got {len(pairs)}")
+            lo, hi = components[start].lo, components[i - 1].hi
+            survivor = components[pairs[0]].sink
+            if lo > 0 and hi < last and xs[survivor] - xs[lo - 1] == xs[hi + 1] - xs[survivor]:
+                survivor = components[pairs[0] + 1].sink
+            del receiver[survivor]
+            merged.append(Component(lo, hi, survivor))
+            start, pairs = i, []
+        was_left = is_left
     return merged
 
 

@@ -7,14 +7,14 @@ rooted there (recursive parent choice with cycle detection), pruning a branch
 once its partial coverage maximum exceeds a limit.  `brute_force_1d` starts the
 limit at n and lowers it below each tree it reaches, so the last tree reached
 is the witness; `enumerate_optimal_1d` runs the search at the optimum and
-collects every tree it reaches, all before its first yield (at most a few
-thousand assignments at the default cap of 9 points).
+returns the list of every tree it reaches (at most a few thousand assignments
+at the default cap of 9 points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import CapExceededError, InputError
 from .model import (
@@ -112,9 +112,9 @@ def brute_force_1d(instance: Instance1D, cap: int = DEFAULT_CAP_1D) -> OracleRes
 
 def enumerate_optimal_1d(
     instance: Instance1D, cap: int = DEFAULT_CAP_1D
-) -> Iterator[ReceiverAssignment]:
-    """Yield every valid assignment attaining the optimum interference, in
-    search order.  The whole stream is collected before the first yield."""
+) -> list[ReceiverAssignment]:
+    """Every valid assignment attaining the optimum interference, in search
+    order."""
     _check_cap(instance.n, cap, "1D optimal enumeration")
     opt = brute_force_1d(instance, cap=cap).optimum
     optimal: list[ReceiverAssignment] = []
@@ -124,7 +124,7 @@ def enumerate_optimal_1d(
         return opt
 
     _sink_trees(instance, opt, collect)
-    yield from optimal
+    return optimal
 
 
 def brute_force_2d(instance: Instance2D, cap: int = DEFAULT_CAP_2D) -> OracleResult:

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import random
 
 import pytest
 
 from interfmin.errors import InputError
-from interfmin.families import gen_p, random_instance_1d
+from interfmin.families import gen_log_lower, gen_p, gen_q, random_instance_1d
 from interfmin.model import Instance1D, interference, is_valid
 from interfmin.nna import Component, nna, nna_round
 from interfmin.dpsolve import solve_exact
@@ -86,3 +87,31 @@ def test_never_beats_exact_solver():
         n = rng.randint(2, 7)
         inst = Instance1D.from_values(rng.sample(range(0, 101), n))
         assert interference(inst, nna(inst)) >= solve_exact(inst).optimum
+
+
+def golden_instances():
+    for n in range(1, 81):
+        # The tight coordinate ranges force many equal spacings, so both tie
+        # rules (successor and survivor) are exercised.
+        for coord_max in (n - 1, n, n + 1, n + 2, 100, 10**6):
+            yield random_instance_1d(n, seed=n, coord_max=coord_max)
+    for n in range(1, 201):
+        yield gen_log_lower(n).instance
+        yield Instance1D.from_values(range(n))
+    for i in range(11):
+        yield gen_p(i).instance
+    for k in range(6):
+        yield gen_q(k).instance
+
+
+def test_golden_digest():
+    # Recorded before nna_round was rewritten as one pass over the components.
+    h = hashlib.sha256()
+    count = 0
+    for inst in golden_instances():
+        rounds = []
+        a = nna(inst, rounds)
+        partitions = [[(c.lo, c.hi, c.sink) for c in r] for r in rounds]
+        h.update(f"{a.sink} {sorted(a.receiver.items())} {partitions}\n".encode())
+        count += 1
+    assert (count, h.hexdigest()[:16]) == (897, "32e15710bf6011d0")

@@ -215,7 +215,7 @@ def test_cap_refusal():
     with pytest.raises(CapExceededError):
         brute_force_1d(inst)
     with pytest.raises(CapExceededError):
-        list(enumerate_optimal_1d(inst))
+        enumerate_optimal_1d(inst)  # the call itself refuses, before any iteration
     # explicit override is allowed
     assert brute_force_1d(Instance1D.from_values(range(4)), cap=4).optimum == 2
 
