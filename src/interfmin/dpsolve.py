@@ -13,10 +13,16 @@ that size, which keeps the subproblem space quasi-polynomial.
 The search is branch and bound under a value limit L: a subproblem returns
 its exact value if that is at most L, else some lower bound above L.  Exact
 values go to the memo, "value > L" to a dict of lower bounds that answers
-later calls with a limit up to L.  `solve_exact` deepens the limit 1, 2, ...
-on one solver until some root meets it; `solve_opt_search` uses each size cap
-as the limit; `solve_subproblem` is unlimited.  `DpStats.subproblems` counts
-every computation, recomputations under a larger limit included.
+later calls with a limit up to L.  Before computing a key the solver reads a
+coverage floor off it: the most any point of the interval is covered by the
+incoming and outgoing ranges and by the least ball each other non-root point
+could own (the one reaching its nearest neighbour in the interval).  A key
+whose floor exceeds L goes to the lower bounds uncomputed.  `solve_exact` and
+`solve_opt_search` are one search: it deepens the limit 1, 2, ... on one
+solver under the full size cap, and the first limit some root meets is the
+optimum.  `solve_subproblem` is unlimited.  `DpStats.subproblems` counts
+every computation, recomputations under a larger limit included; keys cut by
+the floor are not computed and not counted.
 
 Splits are visited in ascending root coverage.  Every extra range a side may
 add escapes the side but not the interval, and a ball covers a contiguous
@@ -38,7 +44,7 @@ visiting order and is the one an unlimited search picks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Optional
 
 from .errors import InputError, InvariantError
@@ -158,6 +164,10 @@ class _Solver:
         if hit is not None:
             self.stats.memo_hits += 1
             return hit
+        floor = self.floor(sub)
+        if floor > limit:
+            self.lower[key] = floor - 1
+            return DpValue(floor)
         self.stats.subproblems += 1
         value, cut = self._compute(sub, limit)
         if value.interference == INFEASIBLE and cut:
@@ -165,6 +175,27 @@ class _Solver:
             return DpValue(limit + 1)
         self.memo[key] = value
         return value
+
+    def floor(self, sub: Subproblem) -> int:
+        """A lower bound on the subproblem's value: the most any point of the
+        interval is covered by the incoming and outgoing ranges and the least
+        balls of the other points.  A point that is not the root and owns no
+        outgoing range has a ball that stays in the interval and reaches its
+        parent there, so it covers at least the ball to its nearest neighbour
+        in the interval."""
+        lo, hi, x = sub.lo, sub.hi, self.instance.ints
+        spans = [self.cover[r.center][r.boundary] for r in (*sub.incoming, *sub.outgoing)]
+        owners = {r.center for r in sub.outgoing}
+        owners.add(sub.root)
+        for p in range(lo, hi + 1):
+            if p not in owners:
+                q = p + 1 if p == lo or (p < hi and x[p + 1] - x[p] < x[p] - x[p - 1]) else p - 1
+                spans.append(self.cover[p][q])
+        depth = [0] * (hi - lo + 2)
+        for a, b in spans:
+            depth[max(a, lo) - lo] += 1
+            depth[min(b, hi) - lo + 1] -= 1
+        return max(accumulate(depth))
 
     def _compute(self, sub: Subproblem, limit: int) -> tuple[DpValue, bool]:
         """Best split with value at most limit, and whether a split was cut
@@ -370,17 +401,14 @@ def _best_root(solver: _Solver, limit: int) -> OracleResult | None:
     return OracleResult(best, witness)
 
 
-def solve_exact(
-    instance: Instance1D, stats: DpStats | None = None, cap: int = DEFAULT_CAP_DP
-) -> OracleResult:
-    """Optimum interference with a verified witness, over every root choice.
-    Refuses instances with more than cap points."""
-    _check_cap(instance.n, cap, "1D DP")
+def _deepen(instance: Instance1D, stats: DpStats | None, cap: int, label: str) -> OracleResult:
+    """Deepen the value limit 1, 2, ... on one solver under the full size cap;
+    the first limit some root meets is the optimum."""
+    _check_cap(instance.n, cap, label)
     if instance.n == 1:
         return OracleResult(0, ReceiverAssignment(SINKTREE1D, {}, 0))
     solver = _Solver(instance, size_bound(instance.n), stats)
-    # Deepen the limit on one solver; the first limit some root meets is the
-    # optimum.  Interference never exceeds the n - 1 balls.
+    # Interference never exceeds the n - 1 balls.
     for limit in range(1, instance.n):
         result = _best_root(solver, limit)
         if result is not None:
@@ -388,18 +416,18 @@ def solve_exact(
     raise InvariantError("no feasible decomposition within the size cap")
 
 
+def solve_exact(
+    instance: Instance1D, stats: DpStats | None = None, cap: int = DEFAULT_CAP_DP
+) -> OracleResult:
+    """Optimum interference with a verified witness, over every root choice.
+    Refuses instances with more than cap points."""
+    return _deepen(instance, stats, cap, "1D DP")
+
+
 def solve_opt_search(
     instance: Instance1D, stats: DpStats | None = None, cap: int = DEFAULT_CAP_DP
 ) -> OracleResult:
-    """Rerun the DP with range-set size caps 1, 2, ... and return at the first
-    size cap that admits a solution no larger than itself; equals solve_exact
-    on every instance.  Refuses instances with more than cap points."""
-    _check_cap(instance.n, cap, "1D DP optimum search")
-    if instance.n == 1:
-        return OracleResult(0, ReceiverAssignment(SINKTREE1D, {}, 0))
-    for bound in range(1, size_bound(instance.n) + 1):
-        # Only an optimum of at most bound is accepted, so bound is the limit.
-        result = _best_root(_Solver(instance, bound, stats), bound)
-        if result is not None:
-            return result
-    raise InvariantError("no feasible decomposition within the maximum size cap")
+    """The same deepening search as solve_exact, behind the `dp-optsearch`
+    method; its refusals name the optimum search.  Refuses instances with more
+    than cap points."""
+    return _deepen(instance, stats, cap, "1D DP optimum search")

@@ -10,7 +10,7 @@ integer pair per line; edges are implicit between L1-distance-1 pairs.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .errors import InputError
 from .model import (
@@ -47,13 +47,18 @@ def parse_points(text: str) -> Instance:
     raise InputError(f"expected 1 or 2 tokens per point, got {width}")
 
 
+def _token(x: int, scale: int) -> str:
+    """x / scale in lowest terms, written `a` or `a/b` as Fraction writes it."""
+    g = gcd(x, scale)
+    return str(x // g) if g == scale else f"{x // g}/{scale // g}"
+
+
 def format_points(instance: Instance) -> str:
-    # Fraction renders as `a` or `a/b`; `points` would keep its Fractions for good.
     s = instance.scale
     if isinstance(instance, Instance1D):
-        body = "\n".join(str(Fraction(x, s)) for x in instance.ints)
+        body = "\n".join(_token(x, s) for x in instance.ints)
     else:
-        body = "\n".join(f"{Fraction(x, s)} {Fraction(y, s)}" for x, y in instance.ints)
+        body = "\n".join(f"{_token(x, s)} {_token(y, s)}" for x, y in instance.ints)
     return body + "\n"
 
 

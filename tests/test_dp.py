@@ -336,3 +336,38 @@ def test_matches_oracle_n10_n11(n, seeds):
             assert is_valid(inst, res.witness)
             assert interference(inst, res.witness) == optimum
             assert stats.split_pairs > 0
+
+
+def test_coverage_floor_is_a_lower_bound():
+    # Every key an unlimited search memoizes has an exact value, and the floor
+    # read off the key may not exceed it; many inner keys meet it exactly.
+    rng = random.Random(8128)
+    keys = tight = 0
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        coord_max = rng.choice((3 * n, 100))
+        inst = Instance1D.from_values(rng.sample(range(0, coord_max + 1), n))
+        solver = _Solver(inst, size_bound(n))
+        for root in range(n):
+            solver.solve(Subproblem(0, n - 1, root, (), ()))
+        for key, value in solver.memo.items():
+            floor = solver.floor(Subproblem(*key))
+            assert floor <= value.interference, (inst.points, key)
+            keys += 1
+            tight += floor == value.interference and key[0] < key[1]
+    assert keys > 4000 and tight > 1000
+
+
+def test_deepening_subproblem_gate_n12():
+    # Hardware-independent: 60489 subproblems before the coverage floor.
+    inst = random_instance_1d(12, 7, 100)
+    stats, searched_stats = DpStats(), DpStats()
+    exact = solve_exact(inst, stats, cap=12)
+    searched = solve_opt_search(inst, searched_stats, cap=12)
+    assert stats.subproblems <= 1000
+    assert (searched.optimum, searched.witness.sink, searched.witness.receiver) == (
+        exact.optimum,
+        exact.witness.sink,
+        exact.witness.receiver,
+    )
+    assert searched_stats == stats
