@@ -150,12 +150,14 @@ def _cmd_solve(args) -> int:
     t0 = time.monotonic()
     stats: dict = {}
     if args.method == "oracle":
+        oracle_stats = oracle.OracleStats()
         if isinstance(instance, Instance1D):
             cap = args.cap if args.cap is not None else oracle.DEFAULT_CAP_1D
-            result = oracle.brute_force_1d(instance, cap=cap)
+            result = oracle.brute_force_1d(instance, cap=cap, stats=oracle_stats)
         else:
             cap = args.cap if args.cap is not None else oracle.DEFAULT_CAP_2D
-            result = oracle.brute_force_2d(instance, cap=cap)
+            result = oracle.brute_force_2d(instance, cap=cap, stats=oracle_stats)
+        stats = {"passes": oracle_stats.passes, "leaves": oracle_stats.leaves}
     elif args.method in ("dp", "dp-optsearch"):
         if not isinstance(instance, Instance1D):
             raise InputError("the dp solvers need a 1D instance")

@@ -1,20 +1,20 @@
 """Brute-force exact solvers for small instances.
 
-These are the ground truth the other solvers are tested against.  The 1D
-oracles share one search body, `_sink_trees`: for every root in ascending
-order it enumerates every receiver map whose functional graph is an in-tree
-rooted there (recursive parent choice with cycle detection), pruning a branch
-once its partial coverage maximum exceeds a limit.  `brute_force_1d` starts the
-limit at n and lowers it below each tree it reaches, so the last tree reached
-is the witness; `enumerate_optimal_1d` runs the search at the optimum and
-returns the list of every tree it reaches (at most a few thousand assignments
-at the default cap of 9 points).
+These are the ground truth the other solvers are tested against.  Each
+oracle visits assignments in a fixed order (1D: root by root, every receiver
+map whose functional graph is an in-tree rooted there; 2D: every receiver
+map) under a limit L deepened from a coverage floor.  Each open point will
+own at least its least ball, the one reaching its nearest neighbour (the 1D
+sink owns none); a branch is cut once its chosen balls plus the open points'
+least balls cover a point more than L times.  So the first pass that reaches
+an assignment is at the optimum, and the first one it reaches (2D: strongly
+connected) is the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import count
 
 from .errors import CapExceededError, InputError
 from .model import (
@@ -28,14 +28,20 @@ from .model import (
     dist2,
 )
 
-DEFAULT_CAP_1D = 9
-DEFAULT_CAP_2D = 7
+DEFAULT_CAP_1D = 11
+DEFAULT_CAP_2D = 9
 
 
 @dataclass
 class OracleResult:
     optimum: int
     witness: ReceiverAssignment
+
+
+@dataclass
+class OracleStats:
+    passes: int = 0  # limits tried
+    leaves: int = 0  # 1D: trees reached; 2D: strong-connectivity tests
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -52,127 +58,146 @@ def _would_cycle(parent: list[int | None], tail: int, head: int) -> bool:
     return v == tail
 
 
-def _sink_trees(
-    instance: Instance1D, limit: int, leaf: Callable[[int, dict[int, int], int], int]
-) -> None:
-    """The one 1D search body: visit, root by root in ascending order, every
-    sink tree whose coverage maximum stays at most `limit`, and call
-    leaf(root, receiver, value) on each.  The leaf returns the limit for the
-    rest of the search."""
+def _search_tables_1d(instance: Instance1D):
+    """The floor to start from, floors[root][j] (the least balls of points
+    other than `root` that cover j) and extra[p][q] (the points the ball of p
+    reaching q covers beyond p's least ball)."""
     n = instance.n
     cover = cover_table(instance)
-    counts = [0] * n
+    # The balls around p are nested, so the least one spans the fewest points.
+    least = [
+        min((cover[p][q] for q in range(n) if q != p), key=lambda r: r[1] - r[0], default=(p, p))
+        for p in range(n)
+    ]
+    floors = [
+        [sum(lo <= j <= hi for p, (lo, hi) in enumerate(least) if p != root) for j in range(n)]
+        for root in range(n)
+    ]
+    extra = [
+        [tuple(j for j in range(lo, hi + 1) if not a <= j <= b) for lo, hi in row]
+        for row, (a, b) in zip(cover, least)
+    ]
+    return min(max(f) for f in floors), floors, extra
+
+
+def _sink_trees(instance: Instance1D, first: bool, stats: OracleStats):
+    """The one 1D search body: deepen the limit until a pass reaches a sink
+    tree; return that limit and the trees reached (the first if `first`)."""
+    n = instance.n
+    floor, floors, extra = _search_tables_1d(instance)
     parent: list[int | None] = [None] * n
-    for root in range(n):
-        order = [p for p in range(n) if p != root]
-        limit = _descend(cover, counts, parent, root, order, 0, 0, limit, leaf)
+    found: list[ReceiverAssignment] = []
+    for limit in count(floor):
+        stats.passes += 1
+        for root, counts in enumerate(floors):
+            order = [p for p in range(n) if p != root]
+            stop = _descend(extra, counts, parent, root, order, 0, max(counts), limit, found, first)
+            if stop < 0:
+                break
+        if found:
+            stats.leaves = len(found)
+            return found, limit
 
 
-def _descend(cover, counts, parent, root, order, idx, cur_max, limit, leaf) -> int:
+def _descend(extra, counts, parent, root, order, idx, cur_max, limit, found, first) -> int:
     # A module-level function rather than a recursive closure: a closure that
-    # refers to itself sits in a reference cycle, which would keep the leaf,
-    # and every assignment it collected, alive until the garbage collector runs.
+    # refers to itself sits in a reference cycle, which would keep every
+    # assignment it collected alive until the garbage collector runs.
     if cur_max > limit:
         return limit
     if idx == len(order):
-        return leaf(root, {p: parent[p] for p in order}, cur_max)
+        found.append(ReceiverAssignment(SINKTREE1D, {p: parent[p] for p in order}, root))
+        return -1 if first else limit
     p = order[idx]
     for q in range(len(counts)):
         if q == p or _would_cycle(parent, p, q):
             continue
-        lo, hi = cover[p][q]
         new_max = cur_max
-        for j in range(lo, hi + 1):
+        for j in extra[p][q]:
             counts[j] += 1
             if counts[j] > new_max:
                 new_max = counts[j]
         parent[p] = q
-        limit = _descend(cover, counts, parent, root, order, idx + 1, new_max, limit, leaf)
+        limit = _descend(extra, counts, parent, root, order, idx + 1, new_max, limit, found, first)
         parent[p] = None
-        for j in range(lo, hi + 1):
+        for j in extra[p][q]:
             counts[j] -= 1
     return limit
 
 
-def brute_force_1d(instance: Instance1D, cap: int = DEFAULT_CAP_1D) -> OracleResult:
+def brute_force_1d(
+    instance: Instance1D, cap: int = DEFAULT_CAP_1D, stats: OracleStats | None = None
+) -> OracleResult:
     """Minimum interference over all valid sink-tree assignments, with one
-    minimizer as witness (the first found in deterministic search order)."""
+    minimizer as witness (the first in deterministic search order)."""
     _check_cap(instance.n, cap, "1D brute force")
-    improvements: list[tuple[int, dict[int, int], int]] = []
-
-    def improve(root: int, receiver: dict[int, int], value: int) -> int:
-        improvements.append((value, receiver, root))
-        return value - 1  # from here on, only strictly better trees count
-
-    # Any valid assignment has interference at most n - 1.
-    _sink_trees(instance, instance.n, improve)
-    best, receiver, root = improvements[-1]
-    return OracleResult(best, ReceiverAssignment(SINKTREE1D, receiver, root))
+    trees, optimum = _sink_trees(instance, True, stats or OracleStats())
+    return OracleResult(optimum, trees[0])
 
 
 def enumerate_optimal_1d(
     instance: Instance1D, cap: int = DEFAULT_CAP_1D
 ) -> list[ReceiverAssignment]:
-    """Every valid assignment attaining the optimum interference, in search
-    order."""
+    """Every valid assignment attaining the optimum interference, in search order."""
     _check_cap(instance.n, cap, "1D optimal enumeration")
-    opt = brute_force_1d(instance, cap=cap).optimum
-    optimal: list[ReceiverAssignment] = []
-
-    def collect(root: int, receiver: dict[int, int], value: int) -> int:
-        optimal.append(ReceiverAssignment(SINKTREE1D, receiver, root))
-        return opt
-
-    _sink_trees(instance, opt, collect)
-    return optimal
+    return _sink_trees(instance, False, OracleStats())[0]
 
 
-def brute_force_2d(instance: Instance2D, cap: int = DEFAULT_CAP_2D) -> OracleResult:
+def _search_tables_2d(instance: Instance2D):
+    """The floor to start from, counts[j] (the least balls that cover j),
+    extra[p][q] (as in 1D) and out_nbrs[p][q] (the edges from p if N(p) = q)."""
+    n = instance.n
+    d2 = [[dist2(a, b) for b in instance.ints] for a in instance.ints]
+    least = [min(r for q, r in enumerate(row) if q != p) for p, row in enumerate(d2)]
+    counts = [sum(row[j] <= m for row, m in zip(d2, least)) for j in range(n)]
+    extra, out_nbrs = [], []
+    for p, (row, m) in enumerate(zip(d2, least)):
+        extra.append([tuple(j for j, s in enumerate(row) if m < s <= r) for r in row])
+        out_nbrs.append([tuple(j for j, s in enumerate(row) if s <= r and j != p) for r in row])
+    return max(counts), counts, extra, out_nbrs
+
+
+def brute_force_2d(
+    instance: Instance2D, cap: int = DEFAULT_CAP_2D, stats: OracleStats | None = None
+) -> OracleResult:
     """Minimum interference over all total receiver maps with a strongly
-    connected communication graph."""
+    connected communication graph, with the first minimizer in search order."""
     n = instance.n
     if n < 2:
         raise InputError("2D brute force needs at least two points")
     _check_cap(n, cap, "2D brute force")
-
-    pts = instance.ints
-    d2 = [[dist2(pts[p], pts[q]) for q in range(n)] for p in range(n)]
-    # covered[p][q]: points inside the ball centered p with q on the boundary;
-    # out_nbrs[p][q]: communication edges from p under N(p) = q.
-    covered = [[tuple(j for j in range(n) if d2[p][j] <= d2[p][q]) for q in range(n)] for p in range(n)]
-    out_nbrs = [[tuple(j for j in covered[p][q] if j != p) for q in range(n)] for p in range(n)]
-
-    counts = [0] * n
+    floor, counts, extra, out_nbrs = _search_tables_2d(instance)
     choice = [0] * n
     graph: list[tuple[int, ...]] = [()] * n  # graph[p] = out_nbrs[p][choice[p]]
-    best = n + 1
-    best_choice: list[int] | None = None
+    witness: list[int] = []
+    stats = stats or OracleStats()
 
     def search(p: int, cur_max: int) -> None:
-        nonlocal best, best_choice
-        if cur_max >= best:
+        if cur_max > limit or witness:
             return
         if p == n:
+            stats.leaves += 1
             if _strongly_connected(graph):
-                best = cur_max
-                best_choice = choice[:]
+                witness.extend(choice)
             return
         for q in range(n):
             if q == p:
                 continue
             new_max = cur_max
-            for j in covered[p][q]:
+            for j in extra[p][q]:
                 counts[j] += 1
                 if counts[j] > new_max:
                     new_max = counts[j]
             choice[p] = q
             graph[p] = out_nbrs[p][q]
             search(p + 1, new_max)
-            for j in covered[p][q]:
+            for j in extra[p][q]:
                 counts[j] -= 1
 
-    search(0, 0)
-    if best_choice is None:
-        raise CapExceededError("no strongly connected assignment exists")  # unreachable for n >= 2
-    witness = ReceiverAssignment(ASYM2D, {p: best_choice[p] for p in range(n)})
-    return OracleResult(best, witness)
+    # Each point reaching its farthest one is strongly connected: L stops by n.
+    for limit in count(floor):
+        stats.passes += 1
+        search(0, floor)
+        if witness:
+            break
+    return OracleResult(limit, ReceiverAssignment(ASYM2D, dict(enumerate(witness))))

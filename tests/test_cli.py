@@ -225,6 +225,31 @@ def test_solve_stats_shows_split_pairs(tmp_path, capsys):
             assert f"{name}: {getattr(stats, name)}" in lines, (method, name)
 
 
+def test_oracle_stats_show_passes_and_leaves(tmp_path, capsys):
+    from interfmin.model import Instance1D, Instance2D
+    from interfmin.oracle import OracleStats, brute_force_1d, brute_force_2d
+
+    one_d = [0, 4, 30, 35, 39, 42, 64, 70]
+    two_d = [(38, 29), (49, 20), (16, 74), (64, 25), (77, 68), (25, 14), (14, 62), (10, 79), (3, 21)]
+    inst = tmp_path / "i.txt"
+    for text, solver, instance in (
+        ("".join(f"{v}\n" for v in one_d), brute_force_1d, Instance1D.from_values(one_d)),
+        ("".join(f"{x} {y}\n" for x, y in two_d), brute_force_2d, Instance2D.from_values(two_d)),
+    ):
+        inst.write_text(text)
+        stats = OracleStats()
+        solver(instance, stats=stats)
+        assert stats.passes >= 1 and stats.leaves >= 1
+        _, plain, _ = run(capsys, "solve", "--method", "oracle", str(inst))
+        code, out, _ = run(capsys, "solve", "--method", "oracle", str(inst), "--stats")
+        assert code == 0
+        lines = out.splitlines()
+        assert f"passes: {stats.passes}" in lines and f"leaves: {stats.leaves}" in lines
+        # --stats only adds lines; the report without it is unchanged.
+        stat_lines = ("elapsed_s:", "passes:", "leaves:")
+        assert plain.splitlines() == [line for line in lines if not line.startswith(stat_lines)]
+
+
 def test_exit_code_unknown_flag(capsys):
     code, _, _ = run(capsys, "solve", "--nonsense")
     assert code == 1

@@ -19,7 +19,15 @@ from interfmin.model import (
     interference,
     is_valid,
 )
-from interfmin.oracle import brute_force_1d, brute_force_2d, enumerate_optimal_1d
+from interfmin.oracle import (
+    DEFAULT_CAP_1D,
+    DEFAULT_CAP_2D,
+    _search_tables_1d,
+    _search_tables_2d,
+    brute_force_1d,
+    brute_force_2d,
+    enumerate_optimal_1d,
+)
 
 
 def rejection_optimum_1d(inst):
@@ -199,6 +207,107 @@ def test_enumeration_frees_dropped_assignments():
             gc.enable()
 
 
+def random_points_2d(n, seed, coord_max):
+    """n distinct integer points in [0, coord_max]², seeded."""
+    rng = random.Random(seed)
+    side = coord_max + 1
+    return Instance2D.from_values(divmod(c, side) for c in rng.sample(range(side * side), n))
+
+
+def receiver_digest(assignment):
+    return hashlib.sha256(str(sorted(assignment.receiver.items())).encode()).hexdigest()[:16]
+
+
+# (n, seed, coord_max, optimum, receiver digest) for brute_force_2d on
+# random_points_2d(n, seed, coord_max), recorded before the 2D oracle had a
+# coverage floor; coord_max 4 gives tie-heavy instances.
+ORACLE_GOLDEN_2D = [
+    (2, 1, 100, 2, '6df3ef58aaac2aff'),
+    (2, 2, 100, 2, '6df3ef58aaac2aff'),
+    (2, 3, 100, 2, '6df3ef58aaac2aff'),
+    (2, 4, 100, 2, '6df3ef58aaac2aff'),
+    (3, 1, 100, 3, 'fb42a379822d2c10'),
+    (3, 2, 100, 3, 'fb42a379822d2c10'),
+    (3, 3, 100, 3, 'fb42a379822d2c10'),
+    (3, 4, 100, 3, '3b11d08330f7dc9c'),
+    (4, 1, 100, 4, 'b27c0eb0b6d46387'),
+    (4, 2, 100, 4, 'b27c0eb0b6d46387'),
+    (4, 3, 100, 3, 'd5d754704a4cf7bf'),
+    (4, 4, 100, 3, '0fef15e424a3b227'),
+    (5, 1, 100, 4, '1e73769ec227350e'),
+    (5, 2, 100, 4, 'eada3588797a54c9'),
+    (5, 3, 100, 3, '7d98a00371b6597c'),
+    (5, 4, 100, 3, '44834245d7702adb'),
+    (6, 1, 100, 4, '6e537fd58b6af4fa'),
+    (6, 2, 100, 3, 'e6e55e5f9300524e'),
+    (6, 3, 100, 3, 'ee04ae51821efe61'),
+    (6, 4, 100, 4, 'e9f663254c973949'),
+    (7, 1, 100, 4, '7ac2888755375e20'),
+    (7, 2, 100, 4, '47756ea7d51697a7'),
+    (7, 3, 100, 3, '33978203ea1b80bb'),
+    (7, 4, 100, 4, '429884d77d06ffd1'),
+    (8, 1, 100, 3, '316c0e6836989a32'),
+    (8, 2, 100, 4, 'ccc05e6de3e19d7c'),
+    (8, 3, 100, 3, 'fd492c4f9404c4e2'),
+    (8, 4, 100, 4, 'e8474ecd4b7b7ee4'),
+    (2, 1, 4, 2, '6df3ef58aaac2aff'),
+    (2, 2, 4, 2, '6df3ef58aaac2aff'),
+    (2, 3, 4, 2, '6df3ef58aaac2aff'),
+    (2, 4, 4, 2, '6df3ef58aaac2aff'),
+    (3, 1, 4, 3, 'fb42a379822d2c10'),
+    (3, 2, 4, 3, '3b11d08330f7dc9c'),
+    (3, 3, 4, 3, 'fb42a379822d2c10'),
+    (3, 4, 4, 3, 'fb42a379822d2c10'),
+    (4, 1, 4, 3, 'd5d754704a4cf7bf'),
+    (4, 2, 4, 3, 'd52213115e0b9a5e'),
+    (4, 3, 4, 3, 'd5d754704a4cf7bf'),
+    (4, 4, 4, 3, '2d2501d591154754'),
+    (5, 1, 4, 4, 'eada3588797a54c9'),
+    (5, 2, 4, 3, 'be56a712983c3086'),
+    (5, 3, 4, 3, '65cbc075c8a9ab88'),
+    (5, 4, 4, 3, 'a25ca898f136b83f'),
+    (6, 1, 4, 4, '2c8950e0233fdee6'),
+    (6, 2, 4, 4, '2e1906e977552d6d'),
+    (6, 3, 4, 4, 'a97ed5d79b5e32e3'),
+    (6, 4, 4, 3, '51c6f81669122b0d'),
+    (7, 1, 4, 4, 'd368bd13aaadbbb7'),
+    (7, 2, 4, 4, '050d7d7fffc43202'),
+    (7, 3, 4, 4, 'b83191af35d6fffd'),
+    (7, 4, 4, 4, 'cca7784e49ef2149'),
+    (8, 1, 4, 4, '7f854817ae65ba65'),
+    (8, 2, 4, 4, 'd37f4987b428ea00'),
+    (8, 3, 4, 4, '8e135f777bade042'),
+    (8, 4, 4, 4, 'd138f74b8b331588'),
+    (8, 5, 100, 4, '862f5bd855f76bac'),
+    (8, 6, 100, 4, '6498e6fce5cfc8d4'),
+    (8, 5, 4, 4, '61f26096028f839b'),
+    (8, 6, 4, 3, 'ef8e874fb36e25e0'),
+]
+
+
+def test_golden_witnesses_2d():
+    for n, seed, coord_max, optimum, digest in ORACLE_GOLDEN_2D:
+        res = brute_force_2d(random_points_2d(n, seed, coord_max))
+        assert (res.optimum, receiver_digest(res.witness)) == (optimum, digest), (n, seed, coord_max)
+
+
+def test_least_ball_floor_is_at_most_the_optimum():
+    # The optima are the golden ones, recorded without any floor.
+    for n, seed, optimum, *_ in ORACLE_GOLDEN_1D:
+        assert _search_tables_1d(random_instance_1d(n, seed, 100))[0] <= optimum, (n, seed)
+    for n, seed, coord_max, optimum, _ in ORACLE_GOLDEN_2D:
+        if n <= 7:
+            assert _search_tables_2d(random_points_2d(n, seed, coord_max))[0] <= optimum, (n, seed)
+
+
+@pytest.mark.parametrize("coord_max", [100, 4])
+def test_matches_rejection_2d(coord_max):
+    for n in (4, 5, 6):
+        for seed in range(1, 4 if n < 6 else 5):
+            inst = random_points_2d(n, seed, coord_max)
+            assert brute_force_2d(inst).optimum == rejection_optimum_2d(inst), (n, seed)
+
+
 def test_bst_existence_small():
     rng = random.Random(7)
     sizes = [rng.randint(2, 6) for _ in range(8)] + [7, 7]
@@ -211,7 +320,7 @@ def test_bst_existence_small():
 
 
 def test_cap_refusal():
-    inst = Instance1D.from_values(range(10))
+    inst = Instance1D.from_values(range(DEFAULT_CAP_1D + 1))
     with pytest.raises(CapExceededError):
         brute_force_1d(inst)
     with pytest.raises(CapExceededError):
@@ -250,7 +359,7 @@ def test_collinear_2d_matches_rejection():
 
 
 def test_cap_refusal_2d():
-    inst = Instance2D.from_values([(i, 0) for i in range(8)])
+    inst = Instance2D.from_values([(i, 0) for i in range(DEFAULT_CAP_2D + 1)])
     with pytest.raises(CapExceededError):
         brute_force_2d(inst)
 
