@@ -16,13 +16,17 @@ values go to the memo, "value > L" to a dict of lower bounds that answers
 later calls with a limit up to L.  Before computing a key the solver reads a
 coverage floor off it: the most any point of the interval is covered by the
 incoming and outgoing ranges and by the least ball each other non-root point
-could own (the one reaching its nearest neighbour in the interval).  A key
-whose floor exceeds L goes to the lower bounds uncomputed.  `solve_exact` and
-`solve_opt_search` are one search: it deepens the limit 1, 2, ... on one
-solver under the full size cap, and the first limit some root meets is the
-optimum.  `solve_subproblem` is unlimited.  `DpStats.subproblems` counts
-every computation, recomputations under a larger limit included; keys cut by
-the floor are not computed and not counted.
+could own (the one reaching its nearest neighbour in the interval).  Those
+least balls depend on the interval alone, so the solver keeps their
+difference array once per (lo, hi); a key's floor copies it, takes out the
+balls of the root and of the outgoing ranges' centers and adds the key's own
+ranges.  A key whose floor exceeds L goes to the lower bounds uncomputed.
+`solve_exact` and `solve_opt_search` are one search: it deepens the limit
+1, 2, ... on one solver under the full size cap, and the first limit some
+root meets is the optimum.  `solve_subproblem` is unlimited.
+`DpStats.subproblems` counts every computation, recomputations under a
+larger limit included; keys cut by the floor are not computed and not
+counted.
 
 Splits are visited in ascending root coverage.  Every extra range a side may
 add escapes the side but not the interval, and a ball covers a contiguous
@@ -36,6 +40,12 @@ the limit or the best value so far, the pairs after it in that order are not
 built; a cut pair or a truncated list marks the result as a lower bound,
 never as infeasible.  A split whose child value exceeds the best so far
 (minus one if it would lose the tie-break on its encoding) is dropped too.
+A pair whose root coverage equals the best value can only win that
+tie-break, so it is settled before any child key is built: on the left
+child root and then the left key, or, without a left side, on the right
+child root and outgoing set (the right side's incoming ranges are then the
+same for every pair).  Options list child roots in ascending order within a
+coverage level, so the first tie with a larger root ends the inner loop.
 The winner is the least (value, encoding) over the feasible splits, and
 distinct splits have distinct encodings, so it does not depend on the
 visiting order and is the one an unlimited search picks.
@@ -65,8 +75,10 @@ Key = tuple  # (lo, hi, root, incoming tuple, outgoing tuple)
 INFEASIBLE = 1 << 62
 
 # Largest n the DP solvers accept by default; larger instances are refused
-# rather than left to run for minutes.
-DEFAULT_CAP_DP = 11
+# rather than left to run for seconds.  Both solvers together stay under 1 s
+# on every n <= 14 probe (random seeds 1-10, LogLower); random n = 15 seed 4
+# takes 1.6 s (2 cores, Python 3.11).
+DEFAULT_CAP_DP = 14
 
 
 @dataclass(frozen=True)
@@ -118,7 +130,8 @@ class _SideOptions:
             if 0 <= count <= most:
                 for chosen in combinations(centers, count):
                     for picks in product(*(self.candidates[c] for c in chosen)):
-                        self.options.append((child_root, _canonical(base.union(picks)), level))
+                        # picks are centered off the base's centers: no duplicates
+                        self.options.append((child_root, tuple(sorted(base + picks)), level))
         self.ends.append(len(self.options))
 
 
@@ -135,6 +148,7 @@ class _Solver:
         self.cover = cover_table(instance)
         self._side_cache: dict[tuple, _SideOptions] = {}
         self._extra_cache: dict[tuple, dict[int, list[Range]]] = {}
+        self._profiles: dict[tuple[int, int], tuple[list[int], list[tuple[int, int]]]] = {}
 
     def covers(self, rng: Range, idx: int) -> bool:
         lo, hi = self.cover[rng.center][rng.boundary]
@@ -183,19 +197,44 @@ class _Solver:
         outgoing range has a ball that stays in the interval and reaches its
         parent there, so it covers at least the ball to its nearest neighbour
         in the interval."""
-        lo, hi, x = sub.lo, sub.hi, self.instance.ints
-        spans = [self.cover[r.center][r.boundary] for r in (*sub.incoming, *sub.outgoing)]
+        lo, hi = sub.lo, sub.hi
+        depth, spans = self._least_balls(lo, hi)
+        depth = depth.copy()
         owners = {r.center for r in sub.outgoing}
         owners.add(sub.root)
-        for p in range(lo, hi + 1):
-            if p not in owners:
-                q = p + 1 if p == lo or (p < hi and x[p + 1] - x[p] < x[p] - x[p - 1]) else p - 1
-                spans.append(self.cover[p][q])
-        depth = [0] * (hi - lo + 2)
-        for a, b in spans:
+        for p in owners:
+            a, b = spans[p - lo]
+            depth[a] -= 1
+            depth[b] += 1
+        for r in (*sub.incoming, *sub.outgoing):
+            a, b = self.cover[r.center][r.boundary]
             depth[max(a, lo) - lo] += 1
             depth[min(b, hi) - lo + 1] -= 1
         return max(accumulate(depth))
+
+    def _least_balls(self, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
+        """The difference array of every point's least ball on [lo, hi], and
+        each ball's clipped span as difference-array offsets.  A lone point's
+        least ball is its zero ball; it is the root and never counted."""
+        profile = self._profiles.get((lo, hi))
+        if profile is None:
+            x = self.instance.ints
+            depth = [0] * (hi - lo + 2)
+            spans = []
+            for p in range(lo, hi + 1):
+                if lo == hi:
+                    q = p
+                elif p == lo or (p < hi and x[p + 1] - x[p] < x[p] - x[p - 1]):
+                    q = p + 1
+                else:
+                    q = p - 1
+                a, b = self.cover[p][q]
+                a, b = max(a, lo) - lo, min(b, hi) - lo + 1
+                depth[a] += 1
+                depth[b] -= 1
+                spans.append((a, b))
+            profile = self._profiles[(lo, hi)] = (depth, spans)
+        return profile
 
     def _compute(self, sub: Subproblem, limit: int) -> tuple[DpValue, bool]:
         """Best split with value at most limit, and whether a split was cut
@@ -236,9 +275,22 @@ class _Solver:
                 if value > ceiling:
                     cut = True
                     break
+                tie = value == ceiling and best_enc is not None
+                if tie:
+                    # Settle the tie on the encoding before building keys; a
+                    # larger lead loses every later tie of this level too.
+                    best_left, best_right = best.choice
+                    if best_left is None:
+                        lead, best_lead = r_root, best_right[2]
+                    else:
+                        lead, best_lead = l_root, best_left[2]
+                    if lead > best_lead:
+                        break
+                    if lead == best_lead and best_left is None and r_out > best_right[4]:
+                        continue
                 self.stats.split_pairs += 1
                 left_key = self._child_key(sub, lo, root - 1, l_root, l_out, r_out, root_range)
-                if left_key is False:
+                if left_key is False or (tie and left_key is not None and left_key > best_left):
                     continue
                 right_key = self._child_key(sub, root + 1, hi, r_root, r_out, l_out, root_range)
                 if right_key is False:
@@ -296,8 +348,7 @@ class _Solver:
             edge = Range(child_root, sub.root)
             if edge not in inherited and self.escapes(edge, sub.lo, sub.hi):
                 continue  # a ball leaving the interval must be declared upward
-            base = set(inherited)
-            base.add(edge)
+            base = _canonical((*inherited, edge))
             base_cov = sum(1 for r in base if self.covers(r, sub.root))
             taken_centers = {r.center for r in base}
             centers = [c for c in candidates if c not in taken_centers]

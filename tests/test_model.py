@@ -161,8 +161,39 @@ def _all_receiver_maps(n):
 
 
 def _all_in_trees(n):
-    """Every valid sink-tree assignment on n points (rejection filtering)."""
-    return ((inst, a) for inst, a in _all_receiver_maps(n) if is_valid(inst, a))
+    """Every valid sink-tree assignment on n points, built directly: for each
+    sink, the points in index order take every receiver whose chain of
+    receivers so far does not lead back to the point."""
+    inst = Instance1D.from_values(range(n))
+
+    def extend(receiver, sink, p):
+        if p == n:
+            yield inst, ReceiverAssignment(SINKTREE1D, dict(receiver), sink)
+        elif p == sink:
+            yield from extend(receiver, sink, p + 1)
+        else:
+            for q in range(n):
+                end = q
+                while end in receiver:
+                    end = receiver[end]
+                if end != p:
+                    receiver[p] = q
+                    yield from extend(receiver, sink, p + 1)
+                    del receiver[p]
+
+    for sink in range(n):
+        yield from extend({}, sink, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_all_in_trees_are_the_valid_receiver_maps(n):
+    def as_key(a):
+        return a.sink, sorted(a.receiver.items())
+
+    built = [as_key(a) for _, a in _all_in_trees(n)]
+    filtered = [as_key(a) for inst, a in _all_receiver_maps(n) if is_valid(inst, a)]
+    assert len(built) == n ** (n - 1)  # Cayley: n^(n-2) trees, n sinks each
+    assert sorted(built) == sorted(filtered)
 
 
 # sha256 of the tree predicates on all 20153 receiver maps with n = 1..6,
@@ -223,9 +254,12 @@ def test_strongly_connected_matches_transitive_closure():
 def test_no_cross_edges_implies_bst(n):
     # Both predicates depend only on the tree and the index order, so one
     # instance per size covers all coordinate choices.
+    count = 0
     for inst, a in _all_in_trees(n):
+        count += 1
         if not cross_edges(inst, a):
             assert has_bst_property(inst, a)
+    assert count == n ** (n - 1)  # every in-tree on n points
 
 
 def test_interference_bounds_small():
