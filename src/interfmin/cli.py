@@ -144,6 +144,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.trace and args.method != "nna":
+        raise InputError("--trace needs --method nna")
+    if args.cap is not None and args.method == "nna":
+        raise InputError("--cap does not apply to --method nna")
+    if args.cap is not None and args.cap < 1:
+        raise InputError("--cap must be at least 1")
     instance = textio.parse_points(_read(args.instance))
     if args.dot and not isinstance(instance, Instance2D):
         raise InputError("--dot needs a 2D instance")
@@ -188,7 +194,7 @@ def _cmd_solve(args) -> int:
         _write(args.witness_out, witness_text)
     if args.dot:
         _write(args.dot, textio.format_graph_dot(communication_graph_2d(instance, result.witness)))
-    if args.method == "nna" and args.trace:
+    if args.trace:
         for i, comps in enumerate(rounds, start=1):
             parts = " ".join(f"[{c.lo}-{c.hi}]@{c.sink}" for c in comps)
             print(f"round {i}: {parts}")

@@ -1,14 +1,16 @@
 """Brute-force exact solvers for small instances.
 
-These are the ground truth the other solvers are tested against.  Each
-oracle visits assignments in a fixed order (1D: root by root, every receiver
-map whose functional graph is an in-tree rooted there; 2D: every receiver
-map) under a limit L deepened from a coverage floor.  Each open point will
-own at least its least ball, the one reaching its nearest neighbour (the 1D
-sink owns none); a branch is cut once its chosen balls plus the open points'
-least balls cover a point more than L times.  So the first pass that reaches
-an assignment is at the optimum, and the first one it reaches (2D: strongly
-connected) is the witness.
+These are the ground truth the other solvers are tested against.  All three
+oracles run one search over one ball table: balls[p][q] lists the points that
+the ball of p reaching q covers.  The search visits assignments in a fixed
+order (1D: root by root, every receiver map whose functional graph is an
+in-tree rooted there; 2D: every receiver map) under a limit L deepened from a
+coverage floor.  Each open point will own at least its least ball, the one
+reaching its nearest neighbour (the 1D sink owns none); a branch is cut once
+its chosen balls plus the open points' least balls cover a point more than L
+times.  So the first pass that accepts an assignment (1D: any sink tree; 2D: a
+strongly connected one) is at the optimum, and the first it accepts is the
+witness.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import CapExceededError, InputError
 from .model import (
     ASYM2D,
     SINKTREE1D,
+    Instance,
     Instance1D,
     Instance2D,
     ReceiverAssignment,
@@ -58,71 +61,88 @@ def _would_cycle(parent: list[int | None], tail: int, head: int) -> bool:
     return v == tail
 
 
-def _search_tables_1d(instance: Instance1D):
-    """The floor to start from, floors[root][j] (the least balls of points
-    other than `root` that cover j) and extra[p][q] (the points the ball of p
-    reaching q covers beyond p's least ball)."""
+def _ball_table(instance: Instance):
+    """balls[p][q] (the points the ball of p reaching q covers, ascending),
+    least[p] (p's least ball), extra[p][q] (the points of balls[p][q] beyond
+    least[p]) and the starts: each root (2D: None) with the count on every
+    point of the least balls of the points other than the root."""
     n = instance.n
-    cover = cover_table(instance)
-    # The balls around p are nested, so the least one spans the fewest points.
+    if isinstance(instance, Instance1D):
+        balls = [[tuple(range(lo, hi + 1)) for lo, hi in row] for row in cover_table(instance)]
+        roots: list[int | None] = list(range(n))
+    else:
+        d2 = [[dist2(a, b) for b in instance.ints] for a in instance.ints]
+        balls = [[tuple(j for j, s in enumerate(row) if s <= r) for r in row] for row in d2]
+        roots = [None]
+    # The balls around p are nested, so the least one covers the fewest points.
     least = [
-        min((cover[p][q] for q in range(n) if q != p), key=lambda r: r[1] - r[0], default=(p, p))
-        for p in range(n)
+        min((b for q, b in enumerate(row) if q != p), key=len, default=row[p])
+        for p, row in enumerate(balls)
     ]
-    floors = [
-        [sum(lo <= j <= hi for p, (lo, hi) in enumerate(least) if p != root) for j in range(n)]
-        for root in range(n)
+    extra = [[tuple(j for j in b if j not in m) for b in row] for row, m in zip(balls, least)]
+    starts = [
+        (root, [sum(j in m for p, m in enumerate(least) if p != root) for j in range(n)])
+        for root in roots
     ]
-    extra = [
-        [tuple(j for j in range(lo, hi + 1) if not a <= j <= b) for lo, hi in row]
-        for row, (a, b) in zip(cover, least)
-    ]
-    return min(max(f) for f in floors), floors, extra
+    return balls, least, extra, starts
 
 
-def _sink_trees(instance: Instance1D, first: bool, stats: OracleStats):
-    """The one 1D search body: deepen the limit until a pass reaches a sink
-    tree; return that limit and the trees reached (the first if `first`)."""
-    n = instance.n
-    floor, floors, extra = _search_tables_1d(instance)
-    parent: list[int | None] = [None] * n
+def _search(tables, accept, first: bool, stats: OracleStats):
+    """Deepen the limit from the floor until a pass accepts a leaf; return
+    the assignments that pass accepted (only the first if `first`) and its
+    limit.  accept(parent, root) is a leaf's assignment, or None to reject it."""
+    extra, starts = tables[2:]
+    parent: list[int | None] = [None] * len(extra)
     found: list[ReceiverAssignment] = []
-    for limit in count(floor):
+
+    def leaf(root: int | None) -> bool:
+        stats.leaves += 1
+        assignment = accept(parent, root)
+        if assignment is not None:
+            found.append(assignment)
+        return first and assignment is not None
+
+    # Each point reaching its farthest one is a valid assignment: L stops by n.
+    for limit in count(min(max(counts) for _, counts in starts)):
         stats.passes += 1
-        for root, counts in enumerate(floors):
-            order = [p for p in range(n) if p != root]
-            stop = _descend(extra, counts, parent, root, order, 0, max(counts), limit, found, first)
-            if stop < 0:
+        for root, counts in starts:
+            top = max(counts)
+            if top <= limit and _descend(extra, counts, parent, root, 0, top, limit, leaf) < 0:
                 break
         if found:
-            stats.leaves = len(found)
             return found, limit
 
 
-def _descend(extra, counts, parent, root, order, idx, cur_max, limit, found, first) -> int:
+def _descend(extra, counts, parent, root, p, cur_max, limit, leaf) -> int:
     # A module-level function rather than a recursive closure: a closure that
-    # refers to itself sits in a reference cycle, which would keep every
-    # assignment it collected alive until the garbage collector runs.
-    if cur_max > limit:
-        return limit
-    if idx == len(order):
-        found.append(ReceiverAssignment(SINKTREE1D, {p: parent[p] for p in order}, root))
-        return -1 if first else limit
-    p = order[idx]
-    for q in range(len(counts)):
-        if q == p or _would_cycle(parent, p, q):
+    # refers to itself sits in a reference cycle, which would keep its tables
+    # and every assignment it collected alive until the garbage collector runs.
+    # Entered only within the limit (cur_max <= limit); returns the limit, or
+    # -1 once `leaf` asks to stop, after which no branch is entered.
+    if p == root:  # the 1D root keeps no receiver
+        p += 1
+    if p == len(extra):
+        return -1 if leaf(root) else limit
+    for q, more in enumerate(extra[p]):
+        if q == p or root is not None and _would_cycle(parent, p, q):
             continue
         new_max = cur_max
-        for j in extra[p][q]:
+        for j in more:
             counts[j] += 1
             if counts[j] > new_max:
                 new_max = counts[j]
-        parent[p] = q
-        limit = _descend(extra, counts, parent, root, order, idx + 1, new_max, limit, found, first)
-        parent[p] = None
-        for j in extra[p][q]:
+        if new_max <= limit:
+            parent[p] = q
+            limit = _descend(extra, counts, parent, root, p + 1, new_max, limit, leaf)
+        for j in more:
             counts[j] -= 1
+    # One reset serves every q: _would_cycle's walk from q stops at p.
+    parent[p] = None
     return limit
+
+
+def _sink_tree(parent: list[int | None], root: int) -> ReceiverAssignment:
+    return ReceiverAssignment(SINKTREE1D, {p: q for p, q in enumerate(parent) if p != root}, root)
 
 
 def brute_force_1d(
@@ -131,7 +151,7 @@ def brute_force_1d(
     """Minimum interference over all valid sink-tree assignments, with one
     minimizer as witness (the first in deterministic search order)."""
     _check_cap(instance.n, cap, "1D brute force")
-    trees, optimum = _sink_trees(instance, True, stats or OracleStats())
+    trees, optimum = _search(_ball_table(instance), _sink_tree, True, stats or OracleStats())
     return OracleResult(optimum, trees[0])
 
 
@@ -140,21 +160,7 @@ def enumerate_optimal_1d(
 ) -> list[ReceiverAssignment]:
     """Every valid assignment attaining the optimum interference, in search order."""
     _check_cap(instance.n, cap, "1D optimal enumeration")
-    return _sink_trees(instance, False, OracleStats())[0]
-
-
-def _search_tables_2d(instance: Instance2D):
-    """The floor to start from, counts[j] (the least balls that cover j),
-    extra[p][q] (as in 1D) and out_nbrs[p][q] (the edges from p if N(p) = q)."""
-    n = instance.n
-    d2 = [[dist2(a, b) for b in instance.ints] for a in instance.ints]
-    least = [min(r for q, r in enumerate(row) if q != p) for p, row in enumerate(d2)]
-    counts = [sum(row[j] <= m for row, m in zip(d2, least)) for j in range(n)]
-    extra, out_nbrs = [], []
-    for p, (row, m) in enumerate(zip(d2, least)):
-        extra.append([tuple(j for j, s in enumerate(row) if m < s <= r) for r in row])
-        out_nbrs.append([tuple(j for j, s in enumerate(row) if s <= r and j != p) for r in row])
-    return max(counts), counts, extra, out_nbrs
+    return _search(_ball_table(instance), _sink_tree, False, OracleStats())[0]
 
 
 def brute_force_2d(
@@ -162,42 +168,18 @@ def brute_force_2d(
 ) -> OracleResult:
     """Minimum interference over all total receiver maps with a strongly
     connected communication graph, with the first minimizer in search order."""
-    n = instance.n
-    if n < 2:
+    if instance.n < 2:
         raise InputError("2D brute force needs at least two points")
-    _check_cap(n, cap, "2D brute force")
-    floor, counts, extra, out_nbrs = _search_tables_2d(instance)
-    choice = [0] * n
-    graph: list[tuple[int, ...]] = [()] * n  # graph[p] = out_nbrs[p][choice[p]]
-    witness: list[int] = []
-    stats = stats or OracleStats()
+    _check_cap(instance.n, cap, "2D brute force")
+    tables = _ball_table(instance)
+    # out[p][q]: the edges from p if N(p) = q.
+    out = [[tuple(j for j in b if j != p) for b in row] for p, row in enumerate(tables[0])]
 
-    def search(p: int, cur_max: int) -> None:
-        if cur_max > limit or witness:
-            return
-        if p == n:
-            stats.leaves += 1
-            if _strongly_connected(graph):
-                witness.extend(choice)
-            return
-        for q in range(n):
-            if q == p:
-                continue
-            new_max = cur_max
-            for j in extra[p][q]:
-                counts[j] += 1
-                if counts[j] > new_max:
-                    new_max = counts[j]
-            choice[p] = q
-            graph[p] = out_nbrs[p][q]
-            search(p + 1, new_max)
-            for j in extra[p][q]:
-                counts[j] -= 1
+    def connected(parent: list[int], root: None) -> ReceiverAssignment | None:
+        # out[p][parent[p]] for every p, built without a Python-level loop.
+        if _strongly_connected(list(map(list.__getitem__, out, parent))):
+            return ReceiverAssignment(ASYM2D, dict(enumerate(parent)))
+        return None
 
-    # Each point reaching its farthest one is strongly connected: L stops by n.
-    for limit in count(floor):
-        stats.passes += 1
-        search(0, floor)
-        if witness:
-            break
-    return OracleResult(limit, ReceiverAssignment(ASYM2D, dict(enumerate(witness))))
+    found, optimum = _search(tables, connected, True, stats or OracleStats())
+    return OracleResult(optimum, found[0])

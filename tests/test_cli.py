@@ -82,8 +82,18 @@ def test_gen_out_into_missing_directory(tmp_path):
         (("solve", "--method", "dp", "line4.txt", "--witness-out", "w", "--dot", "g.dot"), "--dot needs a 2D instance"),
         (("check", "valid", "line4.txt", "chain.assign", "--dot", "g.dot"), "--dot needs a 2D instance"),
         (("gen", "p", "2", "--with-witness"), "--with-witness needs -o to derive the witness path"),
+        (("solve", "--method", "dp", "line4.txt", "--witness-out", "w", "--trace"), "--trace needs --method nna"),
+        (("solve", "--method", "nna", "line4.txt", "--witness-out", "w", "--cap", "1"), "--cap does not apply to --method nna"),
+        (("solve", "--method", "oracle", "line4.txt", "--witness-out", "w", "--cap", "-3"), "--cap must be at least 1"),
     ],
-    ids=["solve-dot-1d", "check-valid-dot-1d", "gen-witness-no-out"],
+    ids=[
+        "solve-dot-1d",
+        "check-valid-dot-1d",
+        "gen-witness-no-out",
+        "solve-trace-without-nna",
+        "solve-cap-with-nna",
+        "solve-cap-below-1",
+    ],
 )
 def test_bad_flag_combination_refused_before_any_output(tmp_path, argv, message):
     (tmp_path / "line4.txt").write_text("0\n1\n2\n3\n")

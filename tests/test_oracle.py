@@ -22,8 +22,7 @@ from interfmin.model import (
 from interfmin.oracle import (
     DEFAULT_CAP_1D,
     DEFAULT_CAP_2D,
-    _search_tables_1d,
-    _search_tables_2d,
+    _ball_table,
     brute_force_1d,
     brute_force_2d,
     enumerate_optimal_1d,
@@ -207,6 +206,21 @@ def test_enumeration_frees_dropped_assignments():
             gc.enable()
 
 
+def test_brute_force_2d_leaves_nothing_for_the_cycle_collector():
+    # A search that refers to itself would leave its tables in a reference
+    # cycle after every call.
+    inst = random_points_2d(7, 1, 100)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_2d(inst)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def random_points_2d(n, seed, coord_max):
     """n distinct integer points in [0, coord_max]², seeded."""
     rng = random.Random(seed)
@@ -291,13 +305,27 @@ def test_golden_witnesses_2d():
         assert (res.optimum, receiver_digest(res.witness)) == (optimum, digest), (n, seed, coord_max)
 
 
+def floor(instance):
+    return min(max(counts) for _, counts in _ball_table(instance)[3])
+
+
 def test_least_ball_floor_is_at_most_the_optimum():
     # The optima are the golden ones, recorded without any floor.
     for n, seed, optimum, *_ in ORACLE_GOLDEN_1D:
-        assert _search_tables_1d(random_instance_1d(n, seed, 100))[0] <= optimum, (n, seed)
+        assert floor(random_instance_1d(n, seed, 100)) <= optimum, (n, seed)
     for n, seed, coord_max, optimum, _ in ORACLE_GOLDEN_2D:
         if n <= 7:
-            assert _search_tables_2d(random_points_2d(n, seed, coord_max))[0] <= optimum, (n, seed)
+            assert floor(random_points_2d(n, seed, coord_max)) <= optimum, (n, seed)
+
+
+def test_one_ball_table_for_both_dimensions():
+    # On a line the 2D balls are the 1D intervals, so both oracles search
+    # the same balls, least balls and extras.
+    for n in range(2, 9):
+        for seed in range(1, 11):
+            line = random_instance_1d(n, seed, 100)
+            plane = Instance2D.from_values((x, 0) for x in line.ints)
+            assert _ball_table(plane)[:3] == _ball_table(line)[:3], (n, seed)
 
 
 @pytest.mark.parametrize("coord_max", [100, 4])
