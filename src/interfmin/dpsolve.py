@@ -32,30 +32,32 @@ Splits are visited in ascending root coverage.  Every extra range a side may
 add escapes the side but not the interval, and a ball covers a contiguous
 run of indices around its center, so every extra covers the root: an
 option's root coverage is that of its base set (inherited ranges plus the
-edge to the root) plus its number of extras.  Options are generated one
-coverage level at a time, only up to the side's budget (the limit less the
-root's other coverage and the other side's edge), and cached per side so a
-later, larger budget extends the list.  Once a pair's root coverage exceeds
-the limit or the best value so far, the pairs after it in that order are not
-built; a cut pair or a truncated list marks the result as a lower bound,
-never as infeasible.  A split whose child value exceeds the best so far
-(minus one if it would lose the tie-break on its encoding) is dropped too.
-A pair whose root coverage equals the best value can only win that
-tie-break, so it is settled before any child key is built: on the left
-child root and then the left key, or, without a left side, on the right
-child root and outgoing set (the right side's incoming ranges are then the
-same for every pair).  Options list child roots in ascending order within a
-coverage level, so the first tie with a larger root ends the inner loop.
-The winner is the least (value, encoding) over the feasible splits, and
-distinct splits have distinct encodings, so it does not depend on the
-visiting order and is the one an unlimited search picks.
+edge to the root) plus its number of extras.  Options are built on demand
+and cached per side, in ascending coverage level and ascending child root
+within a level: a pair loop reads the cached list and builds the next option
+only at the list's end, so options no pair reaches are never built.  Once a
+pair's root coverage exceeds the limit or the best value so far, the pairs
+after it in that order are not read; a cut pair, or a side with an option
+above its budget (the limit less the root's other coverage and the other
+side's edge), marks the result as a lower bound, never as infeasible.  A
+split whose child value exceeds the best so far (minus one if it would lose
+the tie-break on its encoding) is dropped too.  A pair whose root coverage
+equals the best value can only win that tie-break, so it is settled before
+any child key is built: on the left child root and then the left key, or,
+without a left side, on the right child root and outgoing set (the right
+side's incoming ranges are then the same for every pair).  Options list
+child roots in ascending order within a coverage level, so the first tie
+with a larger root ends the inner loop.  The winner is the least (value,
+encoding) over the feasible splits, and distinct splits have distinct
+encodings, so it does not depend on the visiting order and is the one an
+unlimited search picks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import InputError, InvariantError
 from .model import (
@@ -76,13 +78,12 @@ INFEASIBLE = 1 << 62
 
 # Largest n the DP solvers accept by default; larger instances are refused
 # rather than left to run for seconds.  Both solvers together stay under 1 s
-# on every n <= 14 probe (random seeds 1-10, LogLower); random n = 15 seed 4
-# takes 1.6 s (2 cores, Python 3.11).
-DEFAULT_CAP_DP = 14
+# on every n <= 15 probe (random seeds 1-10, LogLower; worst 0.68 s on random
+# n = 15 seed 4); gen_p(4) = LogLower(16) takes 1.6 s (2 cores, Python 3.11).
+DEFAULT_CAP_DP = 15
 
 
-@dataclass(frozen=True)
-class Subproblem:
+class Subproblem(NamedTuple):
     lo: int
     hi: int
     root: int
@@ -90,7 +91,7 @@ class Subproblem:
     outgoing: tuple[Range, ...]
 
     def key(self) -> Key:
-        return (self.lo, self.hi, self.root, self.incoming, self.outgoing)
+        return tuple(self)
 
 
 @dataclass
@@ -104,35 +105,47 @@ class DpStats:
     subproblems: int = 0
     memo_hits: int = 0
     split_pairs: int = 0  # splits whose child subproblems were assembled
+    side_options: int = 0  # side options built
 
 
-def _canonical(ranges) -> tuple[Range, ...]:
-    return tuple(sorted(set(ranges)))
-
-
+@dataclass(slots=True)
 class _SideOptions:
-    """One side's split options, generated lazily one root-coverage level at
-    a time: options[:ends[c]] are those covering the root at most c times."""
+    """One side's split options, built on demand: `options` holds those
+    built so far, in ascending root coverage and ascending child root within
+    a coverage level, and more() appends the next one from `pending`.  `top`
+    is the largest root coverage of any option."""
 
-    __slots__ = ("roots", "candidates", "top", "options", "ends")
+    options: list
+    pending: Iterator
+    top: int
+    stats: Optional[DpStats]
 
-    def __init__(self, roots: list, candidates: dict[int, list[Range]]):
-        self.roots = roots  # (child root, base set, base coverage, free centers, most extras)
-        self.candidates = candidates
-        self.top = max((cov + most for _, _, cov, _, most in roots), default=-1)
-        self.options: list[tuple[int, tuple[Range, ...], int]] = []
-        self.ends: list[int] = []
+    def more(self) -> bool:
+        """Build the next option; False if there is none."""
+        option = next(self.pending, None)
+        if option is None:
+            return False
+        self.options.append(option)
+        self.stats.side_options += 1
+        return True
 
-    def add_level(self) -> None:
-        level = len(self.ends)
-        for child_root, base, base_cov, centers, most in self.roots:
+
+# The one option of an empty side: no child, no ranges, no coverage; its top
+# never exceeds a budget, as the floor keeps the root's coverage within limit.
+_NO_SIDE = _SideOptions([(None, (), 0)], iter(()), -1, None)
+
+
+def _option_stream(roots: list, candidates: dict[int, list[Range]], top: int):
+    """(child root, outgoing set, root coverage) for every option grown from
+    roots, one coverage level at a time."""
+    for level in range(top + 1):
+        for child_root, base, base_cov, centers, most in roots:
             count = level - base_cov
             if 0 <= count <= most:
                 for chosen in combinations(centers, count):
-                    for picks in product(*(self.candidates[c] for c in chosen)):
+                    for picks in product(*(candidates[c] for c in chosen)):
                         # picks are centered off the base's centers: no duplicates
-                        self.options.append((child_root, tuple(sorted(base + picks)), level))
-        self.ends.append(len(self.options))
+                        yield child_root, tuple(sorted(base + picks)), level
 
 
 class _Solver:
@@ -169,7 +182,9 @@ class _Solver:
     def solve(self, sub: Subproblem, limit: int = INFEASIBLE) -> DpValue:
         """The exact value if it is at most limit, else a lower bound above
         limit."""
-        key = sub.key()
+        return self._solve(sub.key(), limit)
+
+    def _solve(self, key: Key, limit: int) -> DpValue:
         hit = self.memo.get(key)
         if hit is None:
             known = self.lower.get(key)
@@ -178,38 +193,41 @@ class _Solver:
         if hit is not None:
             self.stats.memo_hits += 1
             return hit
-        floor = self.floor(sub)
+        floor = self.floor(key)
         if floor > limit:
             self.lower[key] = floor - 1
             return DpValue(floor)
         self.stats.subproblems += 1
-        value, cut = self._compute(sub, limit)
+        value, cut = self._compute(key, limit)
         if value.interference == INFEASIBLE and cut:
             self.lower[key] = limit
             return DpValue(limit + 1)
         self.memo[key] = value
         return value
 
-    def floor(self, sub: Subproblem) -> int:
+    def floor(self, key: Key) -> int:
         """A lower bound on the subproblem's value: the most any point of the
         interval is covered by the incoming and outgoing ranges and the least
         balls of the other points.  A point that is not the root and owns no
         outgoing range has a ball that stays in the interval and reaches its
         parent there, so it covers at least the ball to its nearest neighbour
         in the interval."""
-        lo, hi = sub.lo, sub.hi
+        lo, hi, root, incoming, outgoing = key
         depth, spans = self._least_balls(lo, hi)
         depth = depth.copy()
-        owners = {r.center for r in sub.outgoing}
-        owners.add(sub.root)
-        for p in owners:
+        a, b = spans[root - lo]
+        depth[a] -= 1
+        depth[b] += 1
+        owners = [c for c, _ in outgoing if c != root]
+        for p in set(owners) if len(owners) > 1 else owners:
             a, b = spans[p - lo]
             depth[a] -= 1
             depth[b] += 1
-        for r in (*sub.incoming, *sub.outgoing):
-            a, b = self.cover[r.center][r.boundary]
-            depth[max(a, lo) - lo] += 1
-            depth[min(b, hi) - lo + 1] -= 1
+        cover = self.cover
+        for c, q in (*incoming, *outgoing):
+            a, b = cover[c][q]  # clipped to the interval
+            depth[a - lo if a > lo else 0] += 1
+            depth[b - lo + 1 if b < hi else -1] -= 1
         return max(accumulate(depth))
 
     def _least_balls(self, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -236,41 +254,51 @@ class _Solver:
             profile = self._profiles[(lo, hi)] = (depth, spans)
         return profile
 
-    def _compute(self, sub: Subproblem, limit: int) -> tuple[DpValue, bool]:
+    def _compute(self, key: Key, limit: int) -> tuple[DpValue, bool]:
         """Best split with value at most limit, and whether a split was cut
         off at the limit (rather than found infeasible)."""
-        lo, hi, root = sub.lo, sub.hi, sub.root
-        root_ranges = [r for r in sub.outgoing if r.center == root]
+        lo, hi, root, incoming, outgoing = key
+        root_ranges = [r for r in outgoing if r.center == root]
         if len(root_ranges) > 1:
             return DpValue(INFEASIBLE), False  # the root owns a single ball
 
         if lo == hi:
             # Leaf: the only admissible outgoing set is the root's parent edge.
-            if len(sub.outgoing) == 1 and root_ranges:
-                return DpValue(len(sub.incoming) + 1), False
+            if len(outgoing) == 1 and root_ranges:
+                return DpValue(len(incoming) + 1), False
             return DpValue(INFEASIBLE), False
 
-        root_range = root_ranges[0] if root_ranges else None
-        base_cover = (1 if root_range else 0) + sum(
-            1 for r in sub.incoming if self.covers(r, root)
-        )
+        cover = self.cover
+        base_cover = len(root_ranges)
+        for r in incoming:
+            a, b = cover[r.center][r.boundary]
+            base_cover += a <= root <= b
+        left = self._side(key, lo, root - 1)
+        right = self._side(key, root + 1, hi)
         # A non-empty side's edge to the root covers the root, so each side
-        # may spend what the other side's cheapest option leaves.
+        # may spend what the other side's cheapest option leaves; an option
+        # above that budget is cut, not infeasible.
         spare = limit - base_cover
-        left, left_more = self._side_options(sub, lo, root - 1, spare - (root < hi))
-        right, right_more = self._side_options(sub, root + 1, hi, spare - (lo < root))
-        cut = left_more or right_more
+        cut = left.top > spare - (root < hi) or right.top > spare - (lo < root)
         best = DpValue(INFEASIBLE)
-        if not left or not right:
+        l_opts, r_opts = left.options, right.options
+        if not (l_opts or left.more()) or not (r_opts or right.more()):
             return best, cut
 
         best_enc = None
         ceiling = limit  # no split above min(limit, best value) can win
-        for l_root, l_out, l_cov in left:
-            if base_cover + l_cov + right[0][2] > ceiling:
+        r_least = r_opts[0][2]
+        i = 0
+        while i < len(l_opts) or left.more():
+            l_root, l_out, l_cov = l_opts[i]
+            i += 1
+            if base_cover + l_cov + r_least > ceiling:
                 cut = True
                 break
-            for r_root, r_out, r_cov in right:
+            j = 0
+            while j < len(r_opts) or right.more():
+                r_root, r_out, r_cov = r_opts[j]
+                j += 1
                 value = base_cover + l_cov + r_cov
                 if value > ceiling:
                     cut = True
@@ -289,10 +317,10 @@ class _Solver:
                     if lead == best_lead and best_left is None and r_out > best_right[4]:
                         continue
                 self.stats.split_pairs += 1
-                left_key = self._child_key(sub, lo, root - 1, l_root, l_out, r_out, root_range)
+                left_key = self._child_key(incoming, lo, root - 1, l_root, l_out, r_out, root_ranges)
                 if left_key is False or (tie and left_key is not None and left_key > best_left):
                     continue
-                right_key = self._child_key(sub, root + 1, hi, r_root, r_out, l_out, root_range)
+                right_key = self._child_key(incoming, root + 1, hi, r_root, r_out, l_out, root_ranges)
                 if right_key is False:
                     continue
                 enc = (left_key or (), right_key or ())
@@ -303,7 +331,7 @@ class _Solver:
                     if value > cap:
                         break
                     if child_key is not None:
-                        value = max(value, self.solve(Subproblem(*child_key), cap).interference)
+                        value = max(value, self._solve(child_key, cap).interference)
                 if value == INFEASIBLE:
                     continue
                 if value > cap:
@@ -316,81 +344,76 @@ class _Solver:
                 ceiling = value
         return best, cut
 
-    def _side_options(self, sub: Subproblem, lo: int, hi: int, budget: int):
-        """(child root, child outgoing set, root coverage) choices for one
-        side whose coverage of sub.root is at most budget, in ascending
-        coverage, and whether a choice above the budget was left out."""
+    def _side(self, key: Key, lo: int, hi: int) -> _SideOptions:
+        """The cached options of the side [lo, hi] of the key's interval,
+        grown from per-child-root data: its base set (inherited ranges plus
+        the edge to the root), the base set's coverage of the root, the
+        centers free for extras and the most extras the size cap allows."""
         if lo > hi:
-            return [(None, (), 0)], False
-        inherited = [r for r in sub.outgoing if lo <= r.center <= hi]
-        cache_key = (lo, hi, sub.root, sub.lo, sub.hi, tuple(inherited))
+            return _NO_SIDE
+        sub_lo, sub_hi, root, _, outgoing = key
+        inherited = tuple(r for r in outgoing if lo <= r.center <= hi)
+        cache_key = (lo, hi, root, sub_lo, sub_hi, inherited)
         side = self._side_cache.get(cache_key)
-        if side is None:
-            side = self._side_cache[cache_key] = self._side_roots(sub, lo, hi, inherited)
-        while len(side.ends) <= min(budget, side.top):
-            side.add_level()
-        if budget >= side.top:
-            return side.options, False
-        if budget < 0:
-            return [], True
-        return side.options[: side.ends[budget]], True
-
-    def _side_roots(self, sub: Subproblem, lo: int, hi: int, inherited) -> _SideOptions:
-        """The per-child-root data every option on the side [lo, hi] grows
-        from: its base set, the base set's coverage of sub.root, the centers
-        free for extras and the most extras the size cap allows."""
-        candidates = self._extra_candidates(sub, lo, hi)
+        if side is not None:
+            return side
+        cover = self.cover
+        candidates = self._extra_candidates(key, lo, hi)
+        held = set(inherited)
+        held_cov = sum(1 for r in held if self.covers(r, root))
+        taken = {r.center for r in held}
         roots = []
         for child_root in range(lo, hi + 1):
-            conflict = any(r.center == child_root and r.boundary != sub.root for r in inherited)
-            if conflict:
-                continue  # the child root's single ball is its edge to sub.root
-            edge = Range(child_root, sub.root)
-            if edge not in inherited and self.escapes(edge, sub.lo, sub.hi):
-                continue  # a ball leaving the interval must be declared upward
-            base = _canonical((*inherited, edge))
-            base_cov = sum(1 for r in base if self.covers(r, sub.root))
-            taken_centers = {r.center for r in base}
-            centers = [c for c in candidates if c not in taken_centers]
+            edge = Range(child_root, root)
+            if child_root in taken:
+                if any(r.center == child_root and r.boundary != root for r in held):
+                    continue  # the child root's single ball is its edge to the root
+            else:
+                a, b = cover[child_root][root]
+                if a < sub_lo or b > sub_hi:
+                    continue  # a ball leaving the interval must be declared upward
+            base = tuple(sorted({*held, edge}))
+            base_cov = held_cov + (edge not in held)  # the edge covers the root
+            centers = [c for c in candidates if c not in taken and c != child_root]
             most = min(len(centers), self.bound - len(base))
             if most >= 0:
                 roots.append((child_root, base, base_cov, centers, most))
-        return _SideOptions(roots, candidates)
+        top = max((cov + most for _, _, cov, _, most in roots), default=-1)
+        side = _SideOptions([], _option_stream(roots, candidates, top), top, self.stats)
+        self._side_cache[cache_key] = side
+        return side
 
-    def _extra_candidates(self, sub: Subproblem, lo: int, hi: int) -> dict[int, list[Range]]:
+    def _extra_candidates(self, key: Key, lo: int, hi: int) -> dict[int, list[Range]]:
         """Optional extra ranges for the side [lo, hi], by center in ascending
         order: balls of future edges inside this side that reach into the rest
         of the interval but never leave it."""
-        cache_key = (lo, hi, sub.lo, sub.hi)
+        sub_lo, sub_hi = key[:2]
+        cache_key = (lo, hi, sub_lo, sub_hi)
         candidates = self._extra_cache.get(cache_key)
         if candidates is None:
             candidates = {}
             for center in range(lo, hi + 1):
+                row = self.cover[center]
                 for boundary in range(lo, hi + 1):
-                    rng = Range(center, boundary)
-                    if boundary != center and self.escapes(rng, lo, hi) and not self.escapes(
-                        rng, sub.lo, sub.hi
-                    ):
-                        candidates.setdefault(center, []).append(rng)
+                    a, b = row[boundary]
+                    if boundary != center and (a < lo or b > hi) and sub_lo <= a and b <= sub_hi:
+                        candidates.setdefault(center, []).append(Range(center, boundary))
             self._extra_cache[cache_key] = candidates
         return candidates
 
-    def _child_key(self, sub, lo, hi, child_root, child_out, sibling_out, root_range):
+    def _child_key(self, incoming, lo, hi, child_root, child_out, sibling_out, root_ranges):
         """Assemble the child subproblem, or False if it violates the size cap."""
         if child_root is None:
             return None
-        incoming = set()
-        for r in sub.incoming:
-            if self.covers_any(r, lo, hi):
-                incoming.add(r)
-        for r in sibling_out:
-            if self.covers_any(r, lo, hi):
-                incoming.add(r)
-        if root_range is not None and self.covers_any(root_range, lo, hi):
-            incoming.add(root_range)
-        if len(incoming) + len(child_out) > self.bound:
+        cover = self.cover
+        reached = set()
+        for r in (*incoming, *sibling_out, *root_ranges):
+            a, b = cover[r.center][r.boundary]
+            if a <= hi and lo <= b:
+                reached.add(r)
+        if len(reached) + len(child_out) > self.bound:
             return False
-        return (lo, hi, child_root, _canonical(incoming), child_out)
+        return (lo, hi, child_root, tuple(sorted(reached)), child_out)
 
 
 def size_bound(n: int) -> int:

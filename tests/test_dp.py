@@ -253,6 +253,17 @@ def full_side_options(solver, sub, lo, hi):
     return options
 
 
+def read_side_options(solver, sub, lo, hi, budget):
+    """The side's options covering the root at most budget times, read on
+    demand the way a pair loop reads them (up to the first one above the
+    budget), and whether an option above the budget exists."""
+    side = solver._side(sub, lo, hi)
+    i = 0
+    while (i < len(side.options) or side.more()) and side.options[i][2] <= budget:
+        i += 1
+    return side.options[:i], side.top > budget
+
+
 def test_lazy_side_options_are_the_full_list_by_coverage():
     rng = random.Random(5150)
     sides = 0
@@ -271,7 +282,7 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
                 full = full_side_options(reference, sub, lo, hi)
                 coverage = {opt: sum(1 for r in opt[1] if reference.covers(r, sub.root)) for opt in full}
                 assert len(coverage) == len(full)
-                options, more = _Solver(inst, bound)._side_options(sub, lo, hi, INFEASIBLE)
+                options, more = read_side_options(_Solver(inst, bound), sub, lo, hi, INFEASIBLE)
                 assert not more
                 assert len(options) == len(full)
                 assert {(r, out): cov for r, out, cov in options} == coverage, (inst.points, key)
@@ -283,11 +294,14 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
                 growing = _Solver(inst, bound)  # one cache, budgets up then down
                 for budget in (*range(-2, top + 2), *range(top + 1, -3, -1)):
                     want = {opt for opt, cov in coverage.items() if cov <= budget}
-                    for solver in (_Solver(inst, bound), growing):
-                        options, more = solver._side_options(sub, lo, hi, budget)
+                    fresh = _Solver(inst, bound)
+                    for solver in (fresh, growing):
+                        options, more = read_side_options(solver, sub, lo, hi, budget)
                         assert len(options) == len(want)
                         assert {(r, out) for r, out, _ in options} == want, (key, budget)
                         assert more == (top > budget)
+                    # on demand: at most one option past the budget is built
+                    assert fresh.stats.side_options <= len(want) + 1, (key, budget)
                 sides += 1
     assert sides > 400
 
@@ -428,3 +442,29 @@ def test_deepening_subproblem_gate_n12():
         exact.witness.receiver,
     )
     assert searched_stats == stats
+
+
+# sha256 over (n, seed, subproblems, memo_hits, split_pairs) from solve_exact
+# and solve_opt_search on random_instance_1d(n, seed, 100), n = 2..12, seeds
+# 1..5; recorded before side options were built on demand.
+DP_COUNTERS_SHA256 = "a518d9fe7fa6eacdf4fde109f488c29115421ab831bfe52961af27a13974e4c5"
+
+
+def test_dp_search_counters_golden_digest():
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        for seed in range(1, 6):
+            inst = random_instance_1d(n, seed, 100)
+            for solver in (solve_exact, solve_opt_search):
+                stats = DpStats()
+                solver(inst, stats, cap=n)
+                digest.update(repr((n, seed, stats.subproblems, stats.memo_hits, stats.split_pairs)).encode())
+    assert digest.hexdigest() == DP_COUNTERS_SHA256
+
+
+def test_side_options_built_on_demand_n15():
+    # Hardware-independent: 204126 options when every option of a coverage
+    # level was built at once.
+    stats = DpStats()
+    assert solve_exact(random_instance_1d(15, 4, 100), stats, cap=15).optimum == 4
+    assert stats.side_options <= 40000
