@@ -23,10 +23,9 @@ balls of the root and of the outgoing ranges' centers and adds the key's own
 ranges.  A key whose floor exceeds L goes to the lower bounds uncomputed.
 `solve_exact` and `solve_opt_search` are one search: it deepens the limit
 1, 2, ... on one solver under the full size cap, and the first limit some
-root meets is the optimum.  `solve_subproblem` is unlimited.
-`DpStats.subproblems` counts every computation, recomputations under a
-larger limit included; keys cut by the floor are not computed and not
-counted.
+root meets is the optimum.  `DpStats.subproblems` counts every computation,
+recomputations under a larger limit included; keys cut by the floor are not
+computed and not counted.
 
 Splits are visited in ascending root coverage.  Every extra range a side may
 add escapes the side but not the interval, and a ball covers a contiguous
@@ -37,11 +36,11 @@ and cached per side, in ascending coverage level and ascending child root
 within a level: a pair loop reads the cached list and builds the next option
 only at the list's end, so options no pair reaches are never built.  Once a
 pair's root coverage exceeds the limit or the best value so far, the pairs
-after it in that order are not read; a cut pair, or a side with an option
-above its budget (the limit less the root's other coverage and the other
-side's edge), marks the result as a lower bound, never as infeasible.  A
-split whose child value exceeds the best so far (minus one if it would lose
-the tie-break on its encoding) is dropped too.  A pair whose root coverage
+after it in that order are not read.  Only a pair or a child value cut at
+the limit marks the result as a lower bound rather than infeasible; a side
+with no option makes the key infeasible at every limit.  A split whose
+child value exceeds the best so far (minus one if it would lose the
+tie-break on its encoding) is dropped too.  A pair whose root coverage
 equals the best value can only win that tie-break, so it is settled before
 any child key is built: on the left child root and then the left key, or,
 without a left side, on the right child root and outgoing set (the right
@@ -90,9 +89,6 @@ class Subproblem(NamedTuple):
     incoming: tuple[Range, ...]
     outgoing: tuple[Range, ...]
 
-    def key(self) -> Key:
-        return tuple(self)
-
 
 @dataclass
 class DpValue:
@@ -112,12 +108,10 @@ class DpStats:
 class _SideOptions:
     """One side's split options, built on demand: `options` holds those
     built so far, in ascending root coverage and ascending child root within
-    a coverage level, and more() appends the next one from `pending`.  `top`
-    is the largest root coverage of any option."""
+    a coverage level, and more() appends the next one from `pending`."""
 
     options: list
     pending: Iterator
-    top: int
     stats: Optional[DpStats]
 
     def more(self) -> bool:
@@ -130,14 +124,14 @@ class _SideOptions:
         return True
 
 
-# The one option of an empty side: no child, no ranges, no coverage; its top
-# never exceeds a budget, as the floor keeps the root's coverage within limit.
-_NO_SIDE = _SideOptions([(None, (), 0)], iter(()), -1, None)
+# The one option of an empty side: no child, no ranges, no coverage.
+_NO_SIDE = _SideOptions([(None, (), 0)], iter(()), None)
 
 
-def _option_stream(roots: list, candidates: dict[int, list[Range]], top: int):
+def _option_stream(roots: list, candidates: dict[int, list[Range]]):
     """(child root, outgoing set, root coverage) for every option grown from
     roots, one coverage level at a time."""
+    top = max((cov + most for _, _, cov, _, most in roots), default=-1)
     for level in range(top + 1):
         for child_root, base, base_cov, centers, most in roots:
             count = level - base_cov
@@ -163,28 +157,9 @@ class _Solver:
         self._extra_cache: dict[tuple, dict[int, list[Range]]] = {}
         self._profiles: dict[tuple[int, int], tuple[list[int], list[tuple[int, int]]]] = {}
 
-    def covers(self, rng: Range, idx: int) -> bool:
-        lo, hi = self.cover[rng.center][rng.boundary]
-        return lo <= idx <= hi
-
-    def covers_any(self, rng: Range, lo: int, hi: int) -> bool:
-        """Does the ball cover some point with index in [lo, hi]?"""
-        if lo > hi:
-            return False
-        clo, chi = self.cover[rng.center][rng.boundary]
-        return clo <= hi and lo <= chi
-
-    def escapes(self, rng: Range, lo: int, hi: int) -> bool:
-        """Does the ball cover some point outside [lo, hi]?"""
-        clo, chi = self.cover[rng.center][rng.boundary]
-        return clo < lo or chi > hi
-
-    def solve(self, sub: Subproblem, limit: int = INFEASIBLE) -> DpValue:
+    def solve(self, key: Key, limit: int = INFEASIBLE) -> DpValue:
         """The exact value if it is at most limit, else a lower bound above
         limit."""
-        return self._solve(sub.key(), limit)
-
-    def _solve(self, key: Key, limit: int) -> DpValue:
         hit = self.memo.get(key)
         if hit is None:
             known = self.lower.get(key)
@@ -218,11 +193,11 @@ class _Solver:
         a, b = spans[root - lo]
         depth[a] -= 1
         depth[b] += 1
-        owners = [c for c, _ in outgoing if c != root]
-        for p in set(owners) if len(owners) > 1 else owners:
-            a, b = spans[p - lo]
-            depth[a] -= 1
-            depth[b] += 1
+        for p, _ in outgoing:  # outgoing ranges have distinct centers
+            if p != root:
+                a, b = spans[p - lo]
+                depth[a] -= 1
+                depth[b] += 1
         cover = self.cover
         for c, q in (*incoming, *outgoing):
             a, b = cover[c][q]  # clipped to the interval
@@ -275,11 +250,7 @@ class _Solver:
             base_cover += a <= root <= b
         left = self._side(key, lo, root - 1)
         right = self._side(key, root + 1, hi)
-        # A non-empty side's edge to the root covers the root, so each side
-        # may spend what the other side's cheapest option leaves; an option
-        # above that budget is cut, not infeasible.
-        spare = limit - base_cover
-        cut = left.top > spare - (root < hi) or right.top > spare - (lo < root)
+        cut = False
         best = DpValue(INFEASIBLE)
         l_opts, r_opts = left.options, right.options
         if not (l_opts or left.more()) or not (r_opts or right.more()):
@@ -331,7 +302,7 @@ class _Solver:
                     if value > cap:
                         break
                     if child_key is not None:
-                        value = max(value, self._solve(child_key, cap).interference)
+                        value = max(value, self.solve(child_key, cap).interference)
                 if value == INFEASIBLE:
                     continue
                 if value > cap:
@@ -360,7 +331,10 @@ class _Solver:
         cover = self.cover
         candidates = self._extra_candidates(key, lo, hi)
         held = set(inherited)
-        held_cov = sum(1 for r in held if self.covers(r, root))
+        held_cov = 0
+        for r in held:
+            a, b = cover[r.center][r.boundary]
+            held_cov += a <= root <= b
         taken = {r.center for r in held}
         roots = []
         for child_root in range(lo, hi + 1):
@@ -378,8 +352,7 @@ class _Solver:
             most = min(len(centers), self.bound - len(base))
             if most >= 0:
                 roots.append((child_root, base, base_cov, centers, most))
-        top = max((cov + most for _, _, cov, _, most in roots), default=-1)
-        side = _SideOptions([], _option_stream(roots, candidates, top), top, self.stats)
+        side = _SideOptions([], _option_stream(roots, candidates), self.stats)
         self._side_cache[cache_key] = side
         return side
 
@@ -423,27 +396,6 @@ def size_bound(n: int) -> int:
     return ((n - 1).bit_length() if n > 1 else 0) + 2
 
 
-def solve_subproblem(
-    instance: Instance1D, sub: Subproblem, bound: int, solver: _Solver | None = None
-) -> DpValue:
-    """Solve one subproblem under the given range-set size cap."""
-    if len(set(sub.incoming) | set(sub.outgoing)) > bound:
-        raise InputError("subproblem range sets exceed the size cap")
-    if not 0 <= sub.lo <= sub.root <= sub.hi < instance.n:
-        raise InputError("subproblem interval or root out of range")
-    if solver is None:
-        solver = _Solver(instance, bound)
-    for r in sub.incoming:
-        if sub.lo <= r.center <= sub.hi or not solver.covers_any(r, sub.lo, sub.hi):
-            raise InputError(f"incoming range {r} must come from outside and reach inside")
-    for r in sub.outgoing:
-        if not sub.lo <= r.center <= sub.hi:
-            raise InputError(f"outgoing range {r} must be centered inside the interval")
-        if r.center != sub.root and not solver.escapes(r, sub.lo, sub.hi):
-            raise InputError(f"outgoing range {r} must cover a point outside the interval")
-    return solver.solve(sub)
-
-
 def _collect_edges(solver: _Solver, key: Key, edges: dict[int, int]) -> None:
     value = solver.memo[key]
     if value.choice is None:
@@ -461,11 +413,11 @@ def _best_root(solver: _Solver, limit: int) -> OracleResult | None:
     n = solver.instance.n
     best, best_key = INFEASIBLE, None
     for root in range(n):
-        sub = Subproblem(0, n - 1, root, (), ())
-        value = solver.solve(sub, limit).interference
+        key = Subproblem(0, n - 1, root, (), ())
+        value = solver.solve(key, limit).interference
         if value <= limit and value != INFEASIBLE:
             # a later root wins only with a smaller value
-            best, best_key, limit = value, sub.key(), value - 1
+            best, best_key, limit = value, key, value - 1
     if best_key is None:
         return None
     edges: dict[int, int] = {}

@@ -37,10 +37,14 @@ SINKTREE1D = "sinktree1d"
 
 def as_rational(value) -> int | Fraction:
     """Coerce ints, strings like '3' or '-3/4', and Fractions to an exact
-    rational; unsigned decimal strings, most of a point file, skip Fraction."""
-    if type(value) is str and value.isdecimal():
-        return int(value)
+    rational; unsigned decimal strings, most of a point file, skip Fraction.
+    Exponent notation is refused: its parse time grows with the exponent."""
     try:
+        if type(value) is str:
+            if value.isdecimal():
+                return int(value)
+            if "e" in value or "E" in value:
+                raise ValueError("exponent notation")
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"not a rational number: {value!r}") from exc

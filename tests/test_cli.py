@@ -167,6 +167,22 @@ def test_exit_code_malformed(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe0\n1\n", "cannot read bad.txt: 'utf-8' codec can't decode byte 0xff"),
+        (b"1" * 5000 + b"\n0\n", "not a rational number: '" + "1" * 5000 + "'"),
+        (b"0\n1e16000000\n", "not a rational number: '1e16000000'"),
+    ],
+    ids=["not-utf8", "over-4300-digits", "exponent"],
+)
+def test_unreadable_point_files_are_input_errors(tmp_path, content, message):
+    (tmp_path / "bad.txt").write_bytes(content)
+    code, out, err = run_process("solve", "--method", "dp", "bad.txt", cwd=tmp_path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
 def test_exit_code_cap(tmp_path, capsys):
     inst = tmp_path / "p4.txt"
     run(capsys, "gen", "p", "4", "-o", str(inst))

@@ -16,34 +16,41 @@ from interfmin.dpsolve import (
     size_bound,
     solve_exact,
     solve_opt_search,
-    solve_subproblem,
 )
-from interfmin.errors import CapExceededError, InputError
+from interfmin.errors import CapExceededError
 from interfmin.families import gen_p, random_instance_1d
 from interfmin.model import Instance1D, has_bst_property, interference, is_valid
 from interfmin.oracle import brute_force_1d
 
 
+def solve_key(inst, key, bound=4):
+    return _Solver(inst, bound).solve(key)
+
+
+def covers(solver, ball, idx):
+    a, b = solver.cover[ball.center][ball.boundary]
+    return a <= idx <= b
+
+
+def escapes(solver, ball, lo, hi):
+    a, b = solver.cover[ball.center][ball.boundary]
+    return a < lo or b > hi
+
+
 def test_singleton_base_cases():
     inst = Instance1D.from_values([0, 1])
     # one outgoing range centered at the root: interference |incoming| + 1
-    v = solve_subproblem(inst, Subproblem(0, 0, 0, (), (Range(0, 1),)), 4)
+    v = solve_key(inst, Subproblem(0, 0, 0, (), (Range(0, 1),)))
     assert v.interference == 1
-    v = solve_subproblem(inst, Subproblem(0, 0, 0, (Range(1, 0),), (Range(0, 1),)), 4)
+    v = solve_key(inst, Subproblem(0, 0, 0, (Range(1, 0),), (Range(0, 1),)))
     assert v.interference == 2
     # empty outgoing set: infeasible away from the global level
-    v = solve_subproblem(inst, Subproblem(0, 0, 0, (), ()), 4)
+    v = solve_key(inst, Subproblem(0, 0, 0, (), ()))
     assert v.interference == INFEASIBLE
     # more than one range at the lone point: infeasible
     inst3 = Instance1D.from_values([0, 1, 2])
-    v = solve_subproblem(inst3, Subproblem(1, 1, 1, (), (Range(1, 0), Range(1, 2))), 4)
+    v = solve_key(inst3, Subproblem(1, 1, 1, (), (Range(1, 0), Range(1, 2))))
     assert v.interference == INFEASIBLE
-
-
-def test_size_cap_precondition():
-    inst = Instance1D.from_values([0, 1])
-    with pytest.raises(InputError):
-        solve_subproblem(inst, Subproblem(0, 0, 0, (Range(1, 0),), (Range(0, 1),)), 1)
 
 
 def test_two_points():
@@ -57,7 +64,7 @@ def test_global_subproblem_trace():
     # Root at the right point: the lone left child carries the connecting
     # edge's range, and that ball also covers the root.
     inst = Instance1D.from_values([0, 1])
-    v = solve_subproblem(inst, Subproblem(0, 1, 1, (), ()), 4)
+    v = solve_key(inst, Subproblem(0, 1, 1, (), ()))
     assert v.interference == 1
     assert v.choice is not None
     left_key, right_key = v.choice
@@ -134,13 +141,12 @@ def test_determinism():
 
 def unlimited_search(inst, bound):
     """Optimum, sink and receiver map of the search without a value limit:
-    solve_subproblem at every root on one solver, lowest root first among
-    equal values."""
+    every root solved on one solver, lowest root first among equal values."""
     n = inst.n
     solver = _Solver(inst, bound)
     best, best_root = INFEASIBLE, None
     for root in range(n):
-        value = solve_subproblem(inst, Subproblem(0, n - 1, root, (), ()), bound, solver).interference
+        value = solver.solve(Subproblem(0, n - 1, root, (), ())).interference
         if value < best:
             best, best_root = value, root
     if best_root is None:
@@ -224,7 +230,7 @@ def test_extra_candidates_cover_the_root():
                             continue
                         for ranges in solver._extra_candidates(sub, side_lo, side_hi).values():
                             for ball in ranges:
-                                assert solver.covers(ball, root), (inst.points, sub, ball)
+                                assert covers(solver, ball, root), (inst.points, sub, ball)
                                 checked += 1
     assert checked > 1000
 
@@ -240,7 +246,7 @@ def full_side_options(solver, sub, lo, hi):
         if any(r.center == child_root and r.boundary != sub.root for r in inherited):
             continue
         edge = Range(child_root, sub.root)
-        if edge not in inherited and solver.escapes(edge, sub.lo, sub.hi):
+        if edge not in inherited and escapes(solver, edge, sub.lo, sub.hi):
             continue
         base = set(inherited)
         base.add(edge)
@@ -261,7 +267,7 @@ def read_side_options(solver, sub, lo, hi, budget):
     i = 0
     while (i < len(side.options) or side.more()) and side.options[i][2] <= budget:
         i += 1
-    return side.options[:i], side.top > budget
+    return side.options[:i], i < len(side.options) or side.more()
 
 
 def test_lazy_side_options_are_the_full_list_by_coverage():
@@ -280,7 +286,7 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
                 if lo > hi:
                     continue
                 full = full_side_options(reference, sub, lo, hi)
-                coverage = {opt: sum(1 for r in opt[1] if reference.covers(r, sub.root)) for opt in full}
+                coverage = {opt: sum(1 for r in opt[1] if covers(reference, r, sub.root)) for opt in full}
                 assert len(coverage) == len(full)
                 options, more = read_side_options(_Solver(inst, bound), sub, lo, hi, INFEASIBLE)
                 assert not more
@@ -299,7 +305,7 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
                         options, more = read_side_options(solver, sub, lo, hi, budget)
                         assert len(options) == len(want)
                         assert {(r, out) for r, out, _ in options} == want, (key, budget)
-                        assert more == (top > budget)
+                        assert more == any(cov > budget for cov in coverage.values())
                     # on demand: at most one option past the budget is built
                     assert fresh.stats.side_options <= len(want) + 1, (key, budget)
                 sides += 1
@@ -427,6 +433,24 @@ def test_coverage_floor_is_a_lower_bound():
             assert deepening.floor(sub) == reference_floor(deepening, sub), (inst.points, key)
             cut += key in deepening.lower
     assert keys > 4000 and tight > 1000 and cut > 1000
+
+
+@pytest.mark.parametrize("n, seed", [(12, 7), (15, 4)])
+def test_cut_keys_passed_the_limit(n, seed):
+    # A computed key goes to the lower bounds only when a pair's coverage or a
+    # child's value passed the limit, so each side offered an option; a side
+    # without one makes the key infeasible at every limit.
+    inst = random_instance_1d(n, seed, 100)
+    solver = _Solver(inst, size_bound(n))
+    for limit in range(1, n):
+        if _best_root(solver, limit) is not None:
+            break
+    computed = [key for key, known in solver.lower.items() if solver.floor(key) <= known]
+    assert computed
+    for key in computed:
+        lo, hi, root = key[:3]
+        for side in (solver._side(key, lo, root - 1), solver._side(key, root + 1, hi)):
+            assert side.options or side.more(), (n, seed, key)
 
 
 def test_deepening_subproblem_gate_n12():

@@ -327,7 +327,16 @@ def test_scaling_invariance_2d():
 
 # --- the integer view against a Fraction-only reference -------------------
 
-RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+@st.composite
+def rationals(draw, bound, max_denominator):
+    """Fractions in [-bound, bound] with denominator at most max_denominator,
+    drawn as k / d: the values of st.fractions at a fraction of its cost."""
+    d = draw(st.integers(1, max_denominator))
+    return Fraction(draw(st.integers(-bound * d, bound * d)), d)
+
+
+RATIONALS = rationals(20, 12)
 
 
 def naive_d2(inst, p, q):
@@ -525,7 +534,7 @@ def reduced_instance(grid: int, eps: Fraction) -> Instance2D:
     return reduce_grid(GridGraph.from_vertices(REDUCTION_GRIDS[grid]), eps).instance
 
 
-SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SMALL_RATIONALS = rationals(3, 4)
 
 
 @st.composite
