@@ -175,6 +175,7 @@ def _cmd_solve(args) -> int:
             "subproblems": dp_stats.subproblems,
             "memo_hits": dp_stats.memo_hits,
             "split_pairs": dp_stats.split_pairs,
+            "gated_pairs": dp_stats.gated_pairs,
             "side_options": dp_stats.side_options,
         }
     else:

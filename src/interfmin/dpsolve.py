@@ -16,16 +16,13 @@ values go to the memo, "value > L" to a dict of lower bounds that answers
 later calls with a limit up to L.  Before computing a key the solver reads a
 coverage floor off it: the most any point of the interval is covered by the
 incoming and outgoing ranges and by the least ball each other non-root point
-could own (the one reaching its nearest neighbour in the interval).  Those
-least balls depend on the interval alone, so the solver keeps their
-difference array once per (lo, hi); a key's floor copies it, takes out the
-balls of the root and of the outgoing ranges' centers and adds the key's own
-ranges.  A key whose floor exceeds L goes to the lower bounds uncomputed.
-`solve_exact` and `solve_opt_search` are one search: it deepens the limit
-1, 2, ... on one solver under the full size cap, and the first limit some
-root meets is the optimum.  `DpStats.subproblems` counts every computation,
-recomputations under a larger limit included; keys cut by the floor are not
-computed and not counted.
+could own (the one reaching its nearest neighbour in the interval).  The
+least balls' difference array is kept once per (lo, hi); a key's floor
+copies it, takes out the balls of the root and of the outgoing ranges'
+centers and adds the key's own ranges.  A key whose floor exceeds L goes to
+the lower bounds uncomputed.  `solve_exact` and `solve_opt_search` are one
+search: it deepens the limit 1, 2, ... on one solver under the full size
+cap, and the first limit some root meets is the optimum.
 
 Splits are visited in ascending root coverage.  Every extra range a side may
 add escapes the side but not the interval, and a ball covers a contiguous
@@ -34,22 +31,26 @@ option's root coverage is that of its base set (inherited ranges plus the
 edge to the root) plus its number of extras.  Options are built on demand
 and cached per side, in ascending coverage level and ascending child root
 within a level: a pair loop reads the cached list and builds the next option
-only at the list's end, so options no pair reaches are never built.  Once a
-pair's root coverage exceeds the limit or the best value so far, the pairs
-after it in that order are not read.  Only a pair or a child value cut at
-the limit marks the result as a lower bound rather than infeasible; a side
-with no option makes the key infeasible at every limit.  A split whose
-child value exceeds the best so far (minus one if it would lose the
-tie-break on its encoding) is dropped too.  A pair whose root coverage
-equals the best value can only win that tie-break, so it is settled before
-any child key is built: on the left child root and then the left key, or,
-without a left side, on the right child root and outgoing set (the right
-side's incoming ranges are then the same for every pair).  Options list
-child roots in ascending order within a coverage level, so the first tie
-with a larger root ends the inner loop.  The winner is the least (value,
-encoding) over the feasible splits, and distinct splits have distinct
-encodings, so it does not depend on the visiting order and is the one an
-unlimited search picks.
+only at the list's end, so options no pair reaches are never built.  Each
+option carries the floor of its child key without incoming ranges (they only
+add coverage): per side the inherited ranges, per child root its edge, per
+option its extras, each in place of its center's least ball.  Once a pair's
+root coverage exceeds the ceiling (the limit or the best value so far), the
+pairs after it in that order are not read.  A pair whose root coverage
+equals the best value can only win that value's tie-break on the encoding,
+so it is settled before any child key is built: on the left child root and
+then the left key, or, without a left side, on the right child root and
+outgoing set (the right side's incoming ranges are then the same for every
+pair).  Options list child roots in ascending order within a coverage level,
+so the first tie with a larger root ends the inner loop.  Only then is a
+pair with an option floor above the ceiling skipped (gated): its child could
+only score above it.  Only a gated pair, or a pair or a child value cut at
+the limit, marks the result as a lower bound rather than infeasible; a side
+with no option makes the key infeasible at every limit.  A split whose child
+value exceeds the best so far (minus one if it would lose the tie-break on
+its encoding) is dropped too.  The winner is the least (value, encoding)
+over the feasible splits, and distinct splits have distinct encodings, so it
+does not depend on the visiting order: an unlimited search picks it too.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ Key = tuple  # (lo, hi, root, incoming tuple, outgoing tuple)
 # (at most n).
 INFEASIBLE = 1 << 62
 
-# Largest n the DP solvers accept by default; larger instances are refused
-# rather than left to run for seconds.  Both solvers together stay under 1 s
-# on every n <= 15 probe (random seeds 1-10, LogLower; worst 0.68 s on random
-# n = 15 seed 4); gen_p(4) = LogLower(16) takes 1.6 s (2 cores, Python 3.11).
+# Largest n the DP solvers accept by default, so none runs for seconds: both
+# solvers together take at most 0.29-0.66 s on the n <= 15 probes (random
+# seeds 1-10, worst seed 4; LogLower) and 1.0-1.3 s on gen_p(4) =
+# LogLower(16) (2 cores, Python 3.11).
 DEFAULT_CAP_DP = 15
 
 
@@ -98,9 +99,10 @@ class DpValue:
 
 @dataclass
 class DpStats:
-    subproblems: int = 0
+    subproblems: int = 0  # keys computed, again under each larger limit; not those cut by a floor
     memo_hits: int = 0
     split_pairs: int = 0  # splits whose child subproblems were assembled
+    gated_pairs: int = 0  # splits skipped because an option's floor passed the ceiling
     side_options: int = 0  # side options built
 
 
@@ -124,22 +126,47 @@ class _SideOptions:
         return True
 
 
-# The one option of an empty side: no child, no ranges, no coverage.
-_NO_SIDE = _SideOptions([(None, (), 0)], iter(()), None)
+# The one option of an empty side: no child, no ranges, no coverage, no floor.
+_NO_SIDE = _SideOptions([(None, (), 0, 0)], iter(()), None)
 
 
-def _option_stream(roots: list, candidates: dict[int, list[Range]]):
-    """(child root, outgoing set, root coverage) for every option grown from
-    roots, one coverage level at a time."""
-    top = max((cov + most for _, _, cov, _, most in roots), default=-1)
+def _put(depth: list[int], lo: int, hi: int, span, ball: tuple[int, int]) -> None:
+    """On the difference array of [lo, hi], take out the least ball at
+    offsets span (unless None) and add ball, an index range, clipped."""
+    if span is not None:
+        a, b = span
+        depth[a] -= 1
+        depth[b] += 1
+    a, b = ball
+    depth[a - lo if a > lo else 0] += 1
+    depth[b - lo + 1 if b < hi else -1] -= 1
+
+
+def _option_stream(cover, lo: int, hi: int, held_depth: list[int], spans, roots: list, candidates):
+    """(child root, outgoing set, root coverage, floor) for every option of
+    the side [lo, hi] grown from roots, one coverage level at a time.  The
+    floor is that of the option's child key without incoming ranges: held_depth
+    with the child root's new edge (at its first option) and the picks in
+    place of their centers' least balls."""
+    depths = {}
+    top = max((root[2] + root[4] for root in roots), default=-1)
     for level in range(top + 1):
-        for child_root, base, base_cov, centers, most in roots:
+        for child_root, base, base_cov, centers, most, edge in roots:
             count = level - base_cov
-            if 0 <= count <= most:
+            if count == 0:
+                depth = depths[child_root] = held_depth.copy()
+                if edge is not None:  # else the held edge already replaced the ball
+                    _put(depth, lo, hi, spans[child_root - lo], cover[child_root][edge.boundary])
+                yield child_root, base, level, max(accumulate(depth))
+            elif 0 < count <= most:
+                depth = depths[child_root]
                 for chosen in combinations(centers, count):
                     for picks in product(*(candidates[c] for c in chosen)):
+                        picked = depth.copy()
+                        for c, q in picks:
+                            _put(picked, lo, hi, spans[c - lo], cover[c][q])
                         # picks are centered off the base's centers: no duplicates
-                        yield child_root, tuple(sorted(base + picks)), level
+                        yield child_root, tuple(sorted(base + picks)), level, max(accumulate(picked))
 
 
 class _Solver:
@@ -190,19 +217,14 @@ class _Solver:
         lo, hi, root, incoming, outgoing = key
         depth, spans = self._least_balls(lo, hi)
         depth = depth.copy()
+        cover = self.cover
         a, b = spans[root - lo]
         depth[a] -= 1
         depth[b] += 1
-        for p, _ in outgoing:  # outgoing ranges have distinct centers
-            if p != root:
-                a, b = spans[p - lo]
-                depth[a] -= 1
-                depth[b] += 1
-        cover = self.cover
-        for c, q in (*incoming, *outgoing):
-            a, b = cover[c][q]  # clipped to the interval
-            depth[a - lo if a > lo else 0] += 1
-            depth[b - lo + 1 if b < hi else -1] -= 1
+        for r in outgoing:  # outgoing ranges have distinct centers
+            _put(depth, lo, hi, None if r.center == root else spans[r.center - lo], cover[r.center][r.boundary])
+        for c, q in incoming:
+            _put(depth, lo, hi, None, cover[c][q])
         return max(accumulate(depth))
 
     def _least_balls(self, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -261,14 +283,14 @@ class _Solver:
         r_least = r_opts[0][2]
         i = 0
         while i < len(l_opts) or left.more():
-            l_root, l_out, l_cov = l_opts[i]
+            l_root, l_out, l_cov, l_floor = l_opts[i]
             i += 1
             if base_cover + l_cov + r_least > ceiling:
                 cut = True
                 break
             j = 0
             while j < len(r_opts) or right.more():
-                r_root, r_out, r_cov = r_opts[j]
+                r_root, r_out, r_cov, r_floor = r_opts[j]
                 j += 1
                 value = base_cover + l_cov + r_cov
                 if value > ceiling:
@@ -287,6 +309,11 @@ class _Solver:
                         break
                     if lead == best_lead and best_left is None and r_out > best_right[4]:
                         continue
+                if l_floor > ceiling or r_floor > ceiling:
+                    # each child key of the option has at least its floor
+                    self.stats.gated_pairs += 1
+                    cut = True
+                    continue
                 self.stats.split_pairs += 1
                 left_key = self._child_key(incoming, lo, root - 1, l_root, l_out, r_out, root_ranges)
                 if left_key is False or (tie and left_key is not None and left_key > best_left):
@@ -318,8 +345,8 @@ class _Solver:
     def _side(self, key: Key, lo: int, hi: int) -> _SideOptions:
         """The cached options of the side [lo, hi] of the key's interval,
         grown from per-child-root data: its base set (inherited ranges plus
-        the edge to the root), the base set's coverage of the root, the
-        centers free for extras and the most extras the size cap allows."""
+        the edge to the root), the base set's coverage of the root, the free
+        centers, the most extras the size cap allows and the edge if new."""
         if lo > hi:
             return _NO_SIDE
         sub_lo, sub_hi, root, _, outgoing = key
@@ -331,10 +358,13 @@ class _Solver:
         cover = self.cover
         candidates = self._extra_candidates(key, lo, hi)
         held = set(inherited)
+        held_depth, spans = self._least_balls(lo, hi)
+        held_depth = held_depth.copy()  # the held ranges in place of their centers' least balls
         held_cov = 0
-        for r in held:
-            a, b = cover[r.center][r.boundary]
+        for c, q in held:
+            a, b = cover[c][q]
             held_cov += a <= root <= b
+            _put(held_depth, lo, hi, spans[c - lo], (a, b))
         taken = {r.center for r in held}
         roots = []
         for child_root in range(lo, hi + 1):
@@ -351,8 +381,8 @@ class _Solver:
             centers = [c for c in candidates if c not in taken and c != child_root]
             most = min(len(centers), self.bound - len(base))
             if most >= 0:
-                roots.append((child_root, base, base_cov, centers, most))
-        side = _SideOptions([], _option_stream(roots, candidates), self.stats)
+                roots.append((child_root, base, base_cov, centers, most, None if edge in held else edge))
+        side = _SideOptions([], _option_stream(cover, lo, hi, held_depth, spans, roots, candidates), self.stats)
         self._side_cache[cache_key] = side
         return side
 

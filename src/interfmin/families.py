@@ -33,10 +33,6 @@ def p_diameter(i: int) -> int:
     return (3**i - 1) // 2
 
 
-def q_diameter(k: int) -> int:
-    return (3 ** (k + 3) - 2 ** (k + 3) - 1) // 2
-
-
 def _p_coords(i: int) -> list[int]:
     pts = [0]
     for _ in range(i):

@@ -47,7 +47,10 @@ def as_rational(value) -> int | Fraction:
                 raise ValueError("exponent notation")
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError(f"not a rational number: {value!r}") from exc
+        shown = repr(value)
+        if type(value) is str and len(value) > 40:  # echo a long token by its head
+            shown = f"{value[:40]!r}... ({len(value)} characters)"
+        raise InputError(f"not a rational number: {shown}") from exc
 
 
 def lattice(values: Iterable) -> tuple[list[int], int]:
@@ -381,13 +384,3 @@ def count_bends(instance: Instance1D, assignment: ReceiverAssignment) -> int:
     """Edges between points that are not adjacent in the sorted order."""
     _require_valid_tree(instance, assignment)
     return sum(1 for p, q in assignment.receiver.items() if abs(p - q) > 1)
-
-
-def scale_instance(instance: Instance, factor: Fraction) -> Instance:
-    """Scale all coordinates by a positive rational (for exactness tests)."""
-    factor = as_rational(factor)
-    if factor <= 0:
-        raise InputError("scale factor must be positive")
-    if isinstance(instance, Instance1D):
-        return Instance1D.from_values(x * factor for x in instance.points)
-    return Instance2D.from_values((x * factor, y * factor) for x, y in instance.points)

@@ -171,16 +171,18 @@ def test_exit_code_malformed(tmp_path, capsys):
     "content, message",
     [
         (b"\xff\xfe0\n1\n", "cannot read bad.txt: 'utf-8' codec can't decode byte 0xff"),
-        (b"1" * 5000 + b"\n0\n", "not a rational number: '" + "1" * 5000 + "'"),
+        (b"1" * 5000 + b"\n0\n", "not a rational number: '" + "1" * 40 + "'... (5000 characters)"),
         (b"0\n1e16000000\n", "not a rational number: '1e16000000'"),
+        (b"0\n" + b"1" * 5000 + b"/0\n", "not a rational number: '" + "1" * 40 + "'... (5002 characters)\n"),
     ],
-    ids=["not-utf8", "over-4300-digits", "exponent"],
+    ids=["not-utf8", "over-4300-digits", "exponent", "long-fraction"],
 )
 def test_unreadable_point_files_are_input_errors(tmp_path, content, message):
     (tmp_path / "bad.txt").write_bytes(content)
     code, out, err = run_process("solve", "--method", "dp", "bad.txt", cwd=tmp_path)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert max(len(line) for line in err.splitlines()) < 200  # a long token is echoed by its head
 
 
 def test_exit_code_cap(tmp_path, capsys):
@@ -246,8 +248,8 @@ def test_solve_stats_shows_split_pairs(tmp_path, capsys):
         code, out, _ = run(capsys, "solve", "--method", method, str(inst), "--stats")
         assert code == 0
         lines = out.splitlines()
-        assert stats.split_pairs > 0 and stats.side_options > 0
-        for name in ("memo_hits", "split_pairs", "side_options", "subproblems"):
+        assert stats.split_pairs > 0 and stats.gated_pairs > 0 and stats.side_options > 0
+        for name in ("gated_pairs", "memo_hits", "split_pairs", "side_options", "subproblems"):
             assert f"{name}: {getattr(stats, name)}" in lines, (method, name)
 
 

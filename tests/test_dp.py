@@ -291,10 +291,13 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
                 options, more = read_side_options(_Solver(inst, bound), sub, lo, hi, INFEASIBLE)
                 assert not more
                 assert len(options) == len(full)
-                assert {(r, out): cov for r, out, cov in options} == coverage, (inst.points, key)
-                assert [cov for _, _, cov in options] == sorted(coverage.values())
+                assert {(r, out): cov for r, out, cov, _ in options} == coverage, (inst.points, key)
+                assert [cov for _, _, cov, _ in options] == sorted(coverage.values())
+                # each option carries the floor of its child key without incoming ranges
+                for r, out, _, floor in options:
+                    assert floor == reference_floor(reference, Subproblem(lo, hi, r, (), out)), (key, r, out)
                 # child roots ascend within each coverage level
-                levels = [(cov, r) for r, _, cov in options]
+                levels = [(cov, r) for r, _, cov, _ in options]
                 assert levels == sorted(levels), (inst.points, key)
                 top = max(coverage.values(), default=-1)
                 growing = _Solver(inst, bound)  # one cache, budgets up then down
@@ -304,7 +307,7 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
                     for solver in (fresh, growing):
                         options, more = read_side_options(solver, sub, lo, hi, budget)
                         assert len(options) == len(want)
-                        assert {(r, out) for r, out, _ in options} == want, (key, budget)
+                        assert {(r, out) for r, out, _, _ in options} == want, (key, budget)
                         assert more == any(cov > budget for cov in coverage.values())
                     # on demand: at most one option past the budget is built
                     assert fresh.stats.side_options <= len(want) + 1, (key, budget)
@@ -408,7 +411,9 @@ def test_coverage_floor_is_a_lower_bound():
     # Every key an unlimited search memoizes has an exact value, and the floor
     # read off the key may not exceed it; many inner keys meet it exactly.
     # The floor equals the point-by-point reference on every key, those the
-    # deepening search cut by their floor included.
+    # deepening search cut by their floor included.  Pairs the deepening
+    # search gated on an option's floor count as cuts too: the floors of their
+    # child keys passed the limit before those keys were built.
     rng = random.Random(8128)
     keys = tight = cut = 0
     for _ in range(40):
@@ -432,6 +437,7 @@ def test_coverage_floor_is_a_lower_bound():
             sub = Subproblem(*key)
             assert deepening.floor(sub) == reference_floor(deepening, sub), (inst.points, key)
             cut += key in deepening.lower
+        cut += deepening.stats.gated_pairs
     assert keys > 4000 and tight > 1000 and cut > 1000
 
 
@@ -470,8 +476,10 @@ def test_deepening_subproblem_gate_n12():
 
 # sha256 over (n, seed, subproblems, memo_hits, split_pairs) from solve_exact
 # and solve_opt_search on random_instance_1d(n, seed, 100), n = 2..12, seeds
-# 1..5; recorded before side options were built on demand.
-DP_COUNTERS_SHA256 = "a518d9fe7fa6eacdf4fde109f488c29115421ab831bfe52961af27a13974e4c5"
+# 1..5; re-recorded when split pairs were gated on each side option's floor
+# (a518d9fe7fa6eacdf4fde109f488c29115421ab831bfe52961af27a13974e4c5 before the
+# gate, recorded before side options were built on demand).
+DP_COUNTERS_SHA256 = "58b42bcd2225a7db97386e9a46754f87224193a425e791aa04241c52dc4075ed"
 
 
 def test_dp_search_counters_golden_digest():

@@ -8,7 +8,6 @@ from interfmin.families import (
     optimal_assignment_p,
     optimal_assignment_q,
     p_diameter,
-    q_diameter,
     random_instance_1d,
 )
 from interfmin.model import (
@@ -20,6 +19,10 @@ from interfmin.model import (
     is_valid,
 )
 from interfmin.oracle import brute_force_1d
+
+
+def q_diameter(k: int) -> int:
+    return (3 ** (k + 3) - 2 ** (k + 3) - 1) // 2
 
 
 def test_gen_p_values():

@@ -27,7 +27,6 @@ from interfmin.model import (
     interference,
     interference_at,
     is_valid,
-    scale_instance,
 )
 from interfmin.nna import nna
 from interfmin.reduction import GridGraph, reduce_grid
@@ -35,6 +34,13 @@ from interfmin.textio import format_points, parse_points
 
 TRIANGLE = Instance2D.from_values([(0, 0), (1, 0), (0, 1)])
 TRIANGLE_N = ReceiverAssignment(ASYM2D, {0: 1, 1: 2, 2: 0})
+
+
+def scale_instance(instance, factor: Fraction):
+    """The instance with every coordinate times the positive rational factor."""
+    if isinstance(instance, Instance1D):
+        return Instance1D.from_values(x * factor for x in instance.points)
+    return Instance2D.from_values((x * factor, y * factor) for x, y in instance.points)
 
 
 def chain(n, sink=0):

@@ -15,7 +15,6 @@ from interfmin.model import (
     interference,
     interference_at,
     is_valid,
-    scale_instance,
 )
 from interfmin.reduction import (
     DIRECTIONS,
@@ -225,7 +224,8 @@ def test_scaling_preserves_interference():
     grid = path_grid(2)
     red = reduce_grid(grid)
     assignment = assignment_from_ham_path(red, find_ham_path(grid))
-    scaled = scale_instance(red.instance, Fraction(7, 5))
+    factor = Fraction(7, 5)
+    scaled = Instance2D.from_values((x * factor, y * factor) for x, y in red.instance.points)
     assert interference(scaled, assignment) == interference(red.instance, assignment)
     assert is_valid(scaled, assignment)
 
