@@ -110,16 +110,17 @@ class DpStats:
 class _SideOptions:
     """One side's split options, built on demand: `options` holds those
     built so far, in ascending root coverage and ascending child root within
-    a coverage level, and more() appends the next one from `pending`."""
+    a coverage level; more() appends the next one from `pending` (None once spent)."""
 
     options: list
-    pending: Iterator
+    pending: Optional[Iterator]
     stats: Optional[DpStats]
 
     def more(self) -> bool:
         """Build the next option; False if there is none."""
-        option = next(self.pending, None)
+        option = self.pending and next(self.pending, None)
         if option is None:
+            self.pending = None
             return False
         self.options.append(option)
         self.stats.side_options += 1
@@ -127,7 +128,7 @@ class _SideOptions:
 
 
 # The one option of an empty side: no child, no ranges, no coverage, no floor.
-_NO_SIDE = _SideOptions([(None, (), 0, 0)], iter(()), None)
+_NO_SIDE = _SideOptions([(None, (), 0, 0)], None, None)
 
 
 def _put(depth: list[int], lo: int, hi: int, span, ball: tuple[int, int]) -> None:
@@ -275,21 +276,21 @@ class _Solver:
         cut = False
         best = DpValue(INFEASIBLE)
         l_opts, r_opts = left.options, right.options
-        if not (l_opts or left.more()) or not (r_opts or right.more()):
+        if not (l_opts or left.pending and left.more()) or not (r_opts or right.pending and right.more()):
             return best, cut
 
         best_enc = None
         ceiling = limit  # no split above min(limit, best value) can win
         r_least = r_opts[0][2]
         i = 0
-        while i < len(l_opts) or left.more():
+        while i < len(l_opts) or left.pending and left.more():
             l_root, l_out, l_cov, l_floor = l_opts[i]
             i += 1
             if base_cover + l_cov + r_least > ceiling:
                 cut = True
                 break
             j = 0
-            while j < len(r_opts) or right.more():
+            while j < len(r_opts) or right.pending and right.more():
                 r_root, r_out, r_cov, r_floor = r_opts[j]
                 j += 1
                 value = base_cover + l_cov + r_cov

@@ -15,7 +15,9 @@ the sorted coordinate order for 1D instances, input order for 2D instances.
 
 In 2D every point owns a ball, and a ball covers exactly its center and the
 center's out-neighbors in the communication graph, so the interference of a
-2D assignment is 1 plus the largest in-degree of that graph.
+2D assignment is 1 plus the largest in-degree of that graph.  That graph and
+its coverage counts are built once per (instance, receiver map), kept on the
+assignment, and rebuilt for another instance or a changed map.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -37,12 +39,15 @@ SINKTREE1D = "sinktree1d"
 
 def as_rational(value) -> int | Fraction:
     """Coerce ints, strings like '3' or '-3/4', and Fractions to an exact
-    rational; unsigned decimal strings, most of a point file, skip Fraction.
+    rational; tokens 'a' and 'a/b' of digits (a may have a '-') skip Fraction.
     Exponent notation is refused: its parse time grows with the exponent."""
     try:
         if type(value) is str:
             if value.isdecimal():
                 return int(value)
+            num, slash, den = value.partition("/")
+            if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
+                return Fraction(int(num), int(den)) if slash else int(num)
             if "e" in value or "E" in value:
                 raise ValueError("exponent notation")
         return Fraction(value)
@@ -220,20 +225,41 @@ def cover_table(instance: Instance1D) -> list[list[tuple[int, int]]]:
     return [[cover_interval(instance, c, b) for b in range(instance.n)] for c in range(instance.n)]
 
 
-def communication_graph_2d(
-    instance: Instance2D, assignment: ReceiverAssignment
-) -> list[list[int]]:
+class _Eval2D(NamedTuple):
+    """One 2D evaluation: the pair it was built for, out-lists and counts."""
+
+    instance: Instance2D
+    receiver: dict[int, int]
+    out: list[list[int]]
+    counts: list[int]
+
+
+def _evaluate_2d(instance: Instance2D, assignment: ReceiverAssignment) -> _Eval2D:
+    """The pair's evaluation: kept on the assignment, checked on every call."""
+    memo = assignment.__dict__.get("_eval")
+    if memo is not None and memo.instance is instance and memo.receiver == assignment.receiver:
+        return memo
+    assignment.check_for(instance)
+    pts, receiver = instance.ints, assignment.receiver
+    radii2 = [dist2(c, pts[receiver[p]]) for p, c in enumerate(pts)]
+    near = near_lists(pts, max(radii2, default=0))
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    out = [
+        [q for q in near[p] if (xs[q] - x) ** 2 + (ys[q] - y) ** 2 <= r2 and q != p]
+        for p, (x, y, r2) in enumerate(zip(xs, ys, radii2))
+    ]
+    counts = [1] * len(pts)
+    for q in chain.from_iterable(out):
+        counts[q] += 1
+    memo = assignment.__dict__["_eval"] = _Eval2D(instance, dict(receiver), out, counts)
+    return memo
+
+
+def communication_graph_2d(instance: Instance2D, assignment: ReceiverAssignment) -> list[list[int]]:
     """Out-neighbor lists: edge p -> q iff q is at most as far from p as N(p)."""
     if assignment.model != ASYM2D:
         raise InputError("communication_graph_2d needs an asym2d assignment")
-    assignment.check_for(instance)
-    pts = instance.ints
-    radii2 = [dist2(pts[p], pts[assignment.receiver[p]]) for p in range(instance.n)]
-    near = near_lists(pts, max(radii2, default=0))
-    return [
-        [q for q in near[p] if q != p and dist2(c, pts[q]) <= r2]
-        for p, (c, r2) in enumerate(zip(pts, radii2))
-    ]
+    return [nbrs[:] for nbrs in _evaluate_2d(instance, assignment).out]
 
 
 def _reach(adj: Sequence[Sequence[int]], start: int) -> list[int]:
@@ -275,34 +301,32 @@ def _tree_order(n: int, assignment: ReceiverAssignment) -> list[int]:
 
 def is_valid(instance: Instance, assignment: ReceiverAssignment) -> bool:
     """Validity: strong connectivity (asym2d) or a rooted in-tree (sinktree1d)."""
-    assignment.check_for(instance)
     if assignment.model == ASYM2D:
-        return _strongly_connected(communication_graph_2d(instance, assignment))
+        return _strongly_connected(_evaluate_2d(instance, assignment).out)
+    assignment.check_for(instance)
     return len(_tree_order(instance.n, assignment)) == instance.n
 
 
 def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[int]:
     """Number of transmission ranges covering each point (own ball included);
     in 2D, 1 plus the point's in-degree in the communication graph."""
+    if isinstance(instance, Instance2D):
+        return _evaluate_2d(instance, assignment).counts[:]
     assignment.check_for(instance)
     n = instance.n
-    if isinstance(instance, Instance1D):
-        delta = [0] * (n + 1)
-        for center, boundary in assignment.receiver.items():
-            lo, hi = cover_interval(instance, center, boundary)
-            delta[lo] += 1
-            delta[hi + 1] -= 1
-        return list(accumulate(delta[:n]))
-    counts = [1] * n
-    for nbrs in communication_graph_2d(instance, assignment):
-        for q in nbrs:
-            counts[q] += 1
-    return counts
+    delta = [0] * (n + 1)
+    for center, boundary in assignment.receiver.items():
+        lo, hi = cover_interval(instance, center, boundary)
+        delta[lo] += 1
+        delta[hi + 1] -= 1
+    return list(accumulate(delta[:n]))
 
 
 def interference_at(instance: Instance, assignment: ReceiverAssignment, point_id: int) -> int:
     if not 0 <= point_id < instance.n:
         raise InputError(f"no point with index {point_id}")
+    if isinstance(instance, Instance2D):
+        return _evaluate_2d(instance, assignment).counts[point_id]
     return coverage_counts(instance, assignment)[point_id]
 
 

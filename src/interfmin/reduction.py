@@ -241,11 +241,12 @@ def geometry_violations(red: ReductionOutput) -> list[str]:
     # The largest squared radius scanned below is eps2, the tie or a
     # satellite's distance to its main point (which need not be the designed one).
     near = near_lists(pts, max(eps2, tie, *to_main))
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
 
     def has_near(i: int, limit: int, skip: tuple[int, ...]) -> bool:
         """True iff a point outside `skip` lies within squared distance `limit` of point i."""
-        p = pts[i]
-        return any(dist2(p, pts[j]) <= limit for j in near[i] if j not in skip)
+        x, y = pts[i]
+        return any((xs[j] - x) ** 2 + (ys[j] - y) ** 2 <= limit for j in near[i] if j not in skip)
 
     def l1(a: int, b: int) -> int:
         return abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
@@ -365,11 +366,7 @@ def extract_connection_structure(
     red: ReductionOutput, assignment: ReceiverAssignment
 ) -> list[tuple[Vertex, Vertex]]:
     """Grid-vertex pairs joined by at least one cross-gadget communication edge."""
+    g = red.gadget_of
     out = communication_graph_2d(red.instance, assignment)
-    pairs = set()
-    for p, nbrs in enumerate(out):
-        for q in nbrs:
-            u, w = red.gadget_of[p], red.gadget_of[q]
-            if u != w:
-                pairs.add((min(u, w), max(u, w)))
-    return sorted(pairs)
+    edges = ((g[p], g[q]) for p, nbrs in enumerate(out) for q in nbrs)
+    return sorted({(min(u, w), max(u, w)) for u, w in edges if u != w})

@@ -13,14 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InputError
-from .model import (
-    ASYM2D,
-    SINKTREE1D,
-    Instance,
-    Instance1D,
-    Instance2D,
-    ReceiverAssignment,
-)
+from .model import ASYM2D, SINKTREE1D, Instance, Instance1D, Instance2D, ReceiverAssignment
 
 
 def _content_lines(text: str) -> list[list[str]]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interfmin import model
 from interfmin.errors import InputError
 from interfmin.model import (
     ASYM2D,
@@ -17,6 +18,7 @@ from interfmin.model import (
     Instance2D,
     ReceiverAssignment,
     _strongly_connected,
+    as_rational,
     communication_graph_2d,
     count_bends,
     cover_table,
@@ -29,7 +31,7 @@ from interfmin.model import (
     is_valid,
 )
 from interfmin.nna import nna
-from interfmin.reduction import GridGraph, reduce_grid
+from interfmin.reduction import GridGraph, assignment_from_ham_path, extract_connection_structure, reduce_grid
 from interfmin.textio import format_points, parse_points
 
 TRIANGLE = Instance2D.from_values([(0, 0), (1, 0), (0, 1)])
@@ -615,3 +617,100 @@ def test_direct_construction_takes_only_integers():
         Instance1D((1, 2), Fraction(1))
     with pytest.raises(TypeError):
         Instance2D(((0, 0), (1, 0)), 1.0)
+
+
+def evaluation(inst, a):
+    """Everything the model answers about one 2D pair."""
+    at = [interference_at(inst, a, p) for p in range(inst.n)]
+    return communication_graph_2d(inst, a), coverage_counts(inst, a), at, interference(inst, a), is_valid(inst, a)
+
+
+def test_one_assignment_on_two_instances_gets_each_its_own_graph():
+    near = Instance2D.from_values([(0, 0), (1, 0), (3, 0)])
+    far = Instance2D.from_values([(0, 0), (2, 0), (3, 0)])
+    a = ReceiverAssignment(ASYM2D, {0: 1, 1: 0, 2: 1})
+    shown = repr(a)
+    first, second = evaluation(near, a), evaluation(far, a)
+    assert first[0] == naive_graph(near, a) == [[1], [0], [1]]
+    assert second[0] == naive_graph(far, a) == [[1], [0, 2], [1]]
+    assert evaluation(near, a) == first and evaluation(far, a) == second
+    # The kept evaluation is no field: equality and repr are those of the map.
+    assert a == ReceiverAssignment(ASYM2D, {0: 1, 1: 0, 2: 1}) and repr(a) == shown
+
+
+def test_a_changed_receiver_map_gets_its_own_results():
+    inst = Instance2D.from_values([(0, 0), (1, 0), (3, 0), (3, 2)])
+    a = ReceiverAssignment(ASYM2D, {0: 1, 1: 0, 2: 3, 3: 2})
+    assert not is_valid(inst, a)
+    a.receiver[1] = 2
+    assert evaluation(inst, a) == evaluation(inst, ReceiverAssignment(ASYM2D, dict(a.receiver)))
+    assert is_valid(inst, a) and communication_graph_2d(inst, a) == naive_graph(inst, a)
+    a.receiver[1] = 7
+    with pytest.raises(InputError):
+        is_valid(inst, a)
+
+
+def test_changing_a_returned_list_does_not_change_the_next_call():
+    a = ReceiverAssignment(ASYM2D, dict(TRIANGLE_N.receiver))
+    evaluation(TRIANGLE, a)
+    communication_graph_2d(TRIANGLE, a)[0].append(0)
+    communication_graph_2d(TRIANGLE, a).clear()
+    coverage_counts(TRIANGLE, a)[0] = 99
+    assert evaluation(TRIANGLE, a) == evaluation(TRIANGLE, ReceiverAssignment(ASYM2D, dict(a.receiver)))
+
+
+def test_every_check_of_a_ladder_reduction_builds_one_cell_index(monkeypatch):
+    # The 2 x 200 ladder reduces to 5200 points; the boustrophedon walk is a
+    # Hamiltonian path of it.
+    grid = GridGraph.from_vertices([(x, y) for x in range(200) for y in (0, 1)])
+    path = [(x, y ^ (x % 2)) for x in range(200) for y in (0, 1)]
+    red = reduce_grid(grid, run_checks=False)
+    a = assignment_from_ham_path(red, path)
+    builds = []
+    near_lists = model.near_lists
+    monkeypatch.setattr(model, "near_lists", lambda pts, reach2: builds.append(reach2) or near_lists(pts, reach2))
+    assert is_valid(red.instance, a) and interference(red.instance, a) == 5
+    assert extract_connection_structure(red, a) == sorted(tuple(sorted(e)) for e in zip(path, path[1:]))
+    assert len(builds) == 1
+    at = [interference_at(red.instance, a, p) for p in range(red.instance.n)]
+    assert len(builds) == 1
+    assert at == coverage_counts(red.instance, a) and max(at) == 5
+
+
+RATIONAL_TOKENS = [
+    "0", "-0", "7", "-7", "+7", "--7", "-", "", "3/4", "-3/4", "+3/4", "3/-4", "3/+4", "-3/-4",
+    "6/4", "0/5", "-0/5", "3/0", "-3/0", "0/0", "/4", "3/", "1/2/3", "3 / 4", " 3/4", "3/4 ",
+    " 12 ", "1_000", "1_000/3", "3/1_0", "_1", "1__0", "1.5", "-.5", "1.", "1e3", "1E3",
+    "3/4e1", "-2e-2", "inf", "nan", "٣", "-٣/٤", "١٢/٣", "²", "3/²", "1" * 4301, "1" * 5000,
+    "-" + "9" * 5000, "1/" + "7" * 5000, "7" * 4300 + "/3",
+]
+
+
+def rational_reference(token: str):
+    """Fraction(token), or the InputError message as_rational gives when
+    Fraction refuses the token or the token uses exponent notation."""
+    try:
+        if "e" in token or "E" in token:
+            raise ValueError("exponent notation")
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+        return f"not a rational number: {shown}"
+
+
+def rational_answer(token: str):
+    try:
+        return as_rational(token)
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("token", RATIONAL_TOKENS, ids=range(len(RATIONAL_TOKENS)))
+def test_as_rational_matches_fraction_on_tokens(token):
+    assert rational_answer(token) == rational_reference(token)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789-+/_. eE٣", max_size=8))
+def test_as_rational_matches_fraction_on_drawn_tokens(token):
+    assert rational_answer(token) == rational_reference(token)
