@@ -62,6 +62,8 @@ def lattice(values: Iterable) -> tuple[list[int], int]:
     """Rationals as integers over their least common denominator: (ints, scale)."""
     qs = [as_rational(v) for v in values]
     scale = lcm(*(q.denominator for q in qs))
+    if scale == 1:
+        return list(map(int, qs)), 1
     return [q.numerator * (scale // q.denominator) for q in qs], scale
 
 
@@ -211,18 +213,17 @@ def near_lists(pts: Sequence[tuple[int, int]], reach2: int) -> list[list[int]]:
     return [block[cell] for cell in cell_of]
 
 
-def cover_interval(instance: Instance1D, center: int, boundary: int) -> tuple[int, int]:
-    """Inclusive index range covered by the ball centered at `center` with
-    `boundary` on its boundary."""
-    xs = instance.ints
-    c = xs[center]
-    rad = abs(c - xs[boundary])
-    return bisect_left(xs, c - rad), bisect_right(xs, c + rad) - 1
-
-
 def cover_table(instance: Instance1D) -> list[list[tuple[int, int]]]:
-    """cover[c][b] = cover_interval(instance, c, b) for every pair of points."""
-    return [[cover_interval(instance, c, b) for b in range(instance.n)] for c in range(instance.n)]
+    """cover[c][b]: the inclusive index range covered by the ball centered at point
+    c with point b on its boundary; b is the end of the range on its side of c."""
+    xs = instance.ints
+    return [
+        [
+            (bisect_left(xs, 2 * x - y, 0, c), b) if b > c else (b, bisect_right(xs, 2 * x - y, c) - 1)
+            for b, y in enumerate(xs)
+        ]
+        for c, x in enumerate(xs)
+    ]
 
 
 class _Eval2D(NamedTuple):
@@ -291,9 +292,10 @@ def _strongly_connected(out: Sequence[Sequence[int]]) -> bool:
     return len(_reach(back, 0)) == n
 
 
-def _tree_order(n: int, assignment: ReceiverAssignment) -> list[int]:
+def _tree_order(instance: Instance1D, assignment: ReceiverAssignment) -> list[int]:
     """The points that reach the sink, each listed after its receiver."""
-    children: list[list[int]] = [[] for _ in range(n)]
+    assignment.check_for(instance)
+    children: list[list[int]] = [[] for _ in range(instance.n)]
     for p, q in assignment.receiver.items():
         children[q].append(p)
     return _reach(children, assignment.sink)
@@ -303,8 +305,7 @@ def is_valid(instance: Instance, assignment: ReceiverAssignment) -> bool:
     """Validity: strong connectivity (asym2d) or a rooted in-tree (sinktree1d)."""
     if assignment.model == ASYM2D:
         return _strongly_connected(_evaluate_2d(instance, assignment).out)
-    assignment.check_for(instance)
-    return len(_tree_order(instance.n, assignment)) == instance.n
+    return len(_tree_order(instance, assignment)) == instance.n
 
 
 def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[int]:
@@ -313,12 +314,15 @@ def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[
     if isinstance(instance, Instance2D):
         return _evaluate_2d(instance, assignment).counts[:]
     assignment.check_for(instance)
-    n = instance.n
+    xs, n = instance.ints, instance.n
     delta = [0] * (n + 1)
-    for center, boundary in assignment.receiver.items():
-        lo, hi = cover_interval(instance, center, boundary)
-        delta[lo] += 1
-        delta[hi + 1] -= 1
+    for c, b in assignment.receiver.items():  # cover_table[c][b], one bisect each
+        if b > c:
+            delta[bisect_left(xs, 2 * xs[c] - xs[b], 0, c)] += 1
+            delta[b + 1] -= 1
+        else:
+            delta[b] += 1
+            delta[bisect_right(xs, 2 * xs[c] - xs[b], c)] -= 1
     return list(accumulate(delta[:n]))
 
 
@@ -344,21 +348,22 @@ def verify_witness(instance: Instance, witness: ReceiverAssignment, optimum: int
         raise InvariantError(f"witness interference {recomputed} != reported optimum {optimum}")
 
 
-def _require_valid_tree(instance: Instance1D, assignment: ReceiverAssignment) -> None:
+def _valid_tree_order(instance: Instance1D, assignment: ReceiverAssignment) -> list[int]:
     if assignment.model != SINKTREE1D:
         raise InputError("this predicate is defined for sinktree1d assignments")
-    if not is_valid(instance, assignment):
+    order = _tree_order(instance, assignment)
+    if len(order) != instance.n:
         raise InputError("assignment is not a valid sink tree")
+    return order
 
 
 def descendant_masks(instance: Instance1D, assignment: ReceiverAssignment) -> list[int]:
     """Bitmask of descendants per point (each point is its own descendant)."""
-    _require_valid_tree(instance, assignment)
-    n = instance.n
-    masks = [1 << p for p in range(n)]
+    order = _valid_tree_order(instance, assignment)
+    masks = [1 << p for p in range(instance.n)]
     # Walking the tree order backwards completes each point's mask before
     # its receiver's.
-    for p in reversed(_tree_order(n, assignment)[1:]):
+    for p in reversed(order[1:]):
         masks[assignment.receiver[p]] |= masks[p]
     return masks
 
@@ -406,5 +411,5 @@ def has_bst_property(instance: Instance1D, assignment: ReceiverAssignment) -> bo
 
 def count_bends(instance: Instance1D, assignment: ReceiverAssignment) -> int:
     """Edges between points that are not adjacent in the sorted order."""
-    _require_valid_tree(instance, assignment)
+    _valid_tree_order(instance, assignment)
     return sum(1 for p, q in assignment.receiver.items() if abs(p - q) > 1)

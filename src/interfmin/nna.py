@@ -15,9 +15,9 @@ therefore reproducible.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .errors import InputError, InvariantError
+from .errors import InputError
 from .model import SINKTREE1D, Instance1D, ReceiverAssignment
 
 
@@ -30,51 +30,50 @@ class Component(NamedTuple):
 
 
 def nna_round(
-    instance: Instance1D, components: list[Component], receiver: dict[int, int]
+    instance: Instance1D, components: Sequence[tuple[int, int, int]], receiver: dict[int, int]
 ) -> list[Component]:
-    """One merging round; the component count at most halves.  The edge of
-    every sink that does not survive is written into `receiver`."""
+    """One merging round over (lo, hi, sink) triples such as Components; the
+    component count at least halves.  The edge of every sink that does not
+    survive is written into `receiver`."""
     if len(components) < 2:
         raise InputError("a merging round needs at least two components")
     xs = instance.ints
     last = instance.n - 1
     merged: list[Component] = []
-    start = 0  # first component of the open cluster
-    pairs: list[int] = []  # i of each mutual pair (i, i + 1) in the open cluster
-    was_left = False
-    for i in range(len(components) + 1):
-        if i < len(components):
-            lo, hi, sink = components[i]
-            # Components tile the line, so the successor is the nearer of
-            # lo - 1 and hi + 1; ties go left.
-            is_left = hi == last or (lo > 0 and xs[sink] - xs[lo - 1] <= xs[hi + 1] - xs[sink])
-            receiver[sink] = lo - 1 if is_left else hi + 1
+    start = 0  # lo of the open cluster
+    # The sinks of the open cluster's mutually-pointing pair, set at its first
+    # left-pointing component; the next right-pointing one ends the cluster.
+    prev, left_sink, right_sink = -1, None, None
+    for lo, hi, sink in components:
+        x = xs[sink]
+        # Components tile the line, so the successor is the nearer of
+        # lo - 1 and hi + 1; ties go left.
+        if hi == last or (lo > 0 and x - xs[lo - 1] <= xs[hi + 1] - x):
+            receiver[sink] = lo - 1
+            if right_sink is None:
+                left_sink, right_sink = prev, sink
         else:
-            is_left = False  # the end of the line closes the last cluster
-        if is_left and not was_left:
-            pairs.append(i - 1)
-        elif was_left and not is_left:
-            # A left-pointing component meets a right-pointing one: the
-            # cluster of components start .. i - 1 is complete.
-            if len(pairs) != 1:
-                raise InvariantError(f"cluster must have exactly one mutual pair, got {len(pairs)}")
-            lo, hi = components[start].lo, components[i - 1].hi
-            survivor = components[pairs[0]].sink
-            if lo > 0 and hi < last and xs[survivor] - xs[lo - 1] == xs[hi + 1] - xs[survivor]:
-                survivor = components[pairs[0] + 1].sink
-            del receiver[survivor]
-            merged.append(Component(lo, hi, survivor))
-            start, pairs = i, []
-        was_left = is_left
+            receiver[sink] = hi + 1
+            if right_sink is not None:
+                # The cluster start .. lo - 1 is complete.
+                tie = start > 0 and xs[left_sink] - xs[start - 1] == xs[lo] - xs[left_sink]
+                survivor = right_sink if tie else left_sink
+                del receiver[survivor]
+                merged.append(Component(start, lo - 1, survivor))
+                start, right_sink = lo, None
+        prev = sink
+    # The last cluster ends at the last point, so no tie can move its survivor.
+    del receiver[left_sink]
+    merged.append(Component(start, last, left_sink))
     return merged
 
 
 def nna(instance: Instance1D, round_log: list[list[Component]] | None = None) -> ReceiverAssignment:
     """Run the heuristic to a single component and return its assignment."""
-    components = [Component(i, i, i) for i in range(instance.n)]
+    components = [(i, i, i) for i in range(instance.n)]  # the singletons
     receiver: dict[int, int] = {}
     while len(components) > 1:
         components = nna_round(instance, components, receiver)
         if round_log is not None:
             round_log.append(components)
-    return ReceiverAssignment(SINKTREE1D, receiver, components[0].sink)
+    return ReceiverAssignment(SINKTREE1D, receiver, components[0][2])

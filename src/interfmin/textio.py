@@ -10,6 +10,7 @@ integer pair per line; edges are implicit between L1-distance-1 pairs.
 
 from __future__ import annotations
 
+import sys
 from math import gcd
 
 from .errors import InputError
@@ -17,12 +18,10 @@ from .model import ASYM2D, SINKTREE1D, Instance, Instance1D, Instance2D, Receive
 
 
 def _content_lines(text: str) -> list[list[str]]:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    return rows
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return [row for row in map(str.split, lines) if row]
 
 
 def parse_points(text: str) -> Instance:
@@ -31,10 +30,10 @@ def parse_points(text: str) -> Instance:
     if not rows:
         raise InputError("point file contains no points")
     width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if len(set(map(len, rows))) > 1:
         raise InputError("point file mixes 1D and 2D lines")
     if width == 1:
-        return Instance1D.from_values(r[0] for r in rows)
+        return Instance1D.from_values([r[0] for r in rows])
     if width == 2:
         return Instance2D.from_values(rows)
     raise InputError(f"expected 1 or 2 tokens per point, got {width}")
@@ -47,11 +46,15 @@ def _token(x: int, scale: int) -> str:
 
 
 def format_points(instance: Instance) -> str:
+    """The point file; refused when a coordinate has more digits than str() writes."""
     s = instance.scale
-    if isinstance(instance, Instance1D):
-        body = "\n".join(_token(x, s) for x in instance.ints)
-    else:
-        body = "\n".join(f"{_token(x, s)} {_token(y, s)}" for x, y in instance.ints)
+    try:
+        if isinstance(instance, Instance1D):
+            body = "\n".join(map(str, instance.ints) if s == 1 else (_token(x, s) for x in instance.ints))
+        else:
+            body = "\n".join(f"{_token(x, s)} {_token(y, s)}" for x, y in instance.ints)
+    except ValueError as exc:
+        raise InputError(f"cannot write a coordinate of more than {sys.get_int_max_str_digits()} digits") from exc
     return body + "\n"
 
 
@@ -75,7 +78,9 @@ def parse_assignment(text: str) -> ReceiverAssignment:
     for row in body:
         if len(row) != 2:
             raise InputError(f"malformed edge line: {' '.join(row)!r}")
-        p, q = _parse_index(row[0]), _parse_index(row[1])
+        p, q = row
+        p = int(p) if p.isdecimal() else _parse_index(p)
+        q = int(q) if q.isdecimal() else _parse_index(q)
         if p in receiver:
             raise InputError(f"point {p} has two receivers")
         receiver[p] = q
@@ -97,8 +102,8 @@ def format_assignment(assignment: ReceiverAssignment) -> str:
     lines = [f"model {assignment.model}"]
     if assignment.sink is not None:
         lines.append(f"sink {assignment.sink}")
-    for p in sorted(assignment.receiver):
-        lines.append(f"{p} {assignment.receiver[p]}")
+    receiver = assignment.receiver
+    lines += [f"{p} {receiver[p]}" for p in sorted(receiver)]
     return "\n".join(lines) + "\n"
 
 

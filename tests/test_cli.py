@@ -317,6 +317,15 @@ def test_gen_loglower(tmp_path, capsys):
     assert out.split() == ["0", "1", "3", "4", "9"]
 
 
+def test_gen_loglower_refuses_coordinates_too_long_to_write(tmp_path):
+    # 79796 is the least size whose last filler has more than 4300 digits
+    # (4301), which str() refuses to write and parse_points refuses to read.
+    code, out, err = run_process("gen", "loglower", "79796", "-o", "ll.txt", cwd=tmp_path)
+    assert (code, out) == (1, "")
+    assert err == "error: cannot write a coordinate of more than 4300 digits\n"
+    assert not (tmp_path / "ll.txt").exists()
+
+
 def test_reduce_and_gadget_check(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("0 0\n1 0\n2 0\n")

@@ -6,7 +6,7 @@ from functools import lru_cache
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interfmin import model
@@ -510,6 +510,34 @@ def while_loop_cover_table(instance):
 def test_cover_table_matches_while_loop_table(coords):
     inst = Instance1D.from_values(coords)
     assert cover_table(inst) == while_loop_cover_table(inst)
+
+
+@st.composite
+def lines_with_receivers(draw):
+    """A 1D instance on a coarse grid, so that many points sit exactly at a
+    ball's mirror image 2 x_c - x_b, with a receiver map (cycles allowed)
+    whose edges run in both directions."""
+    den = draw(st.sampled_from([1, 2, 3, 7]))
+    nums = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=10, unique=True))
+    inst = Instance1D.from_values(Fraction(v, den) for v in nums)
+    sink = draw(st.integers(0, inst.n - 1))
+    receiver = {p: draw(st.sampled_from([q for q in range(inst.n) if q != p])) for p in range(inst.n) if p != sink}
+    return inst, ReceiverAssignment(SINKTREE1D, receiver, sink)
+
+
+def naive_coverage_1d(inst, a):
+    """q is covered by c's ball iff |x_q - x_c| <= |x_b - x_c|, on Fractions."""
+    xs = inst.points
+    return [sum(abs(xs[q] - xs[c]) <= abs(xs[b] - xs[c]) for c, b in a.receiver.items()) for q in range(inst.n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines_with_receivers())
+@example((Instance1D.from_values([-2, -1, 0, 1, 2]), ReceiverAssignment(SINKTREE1D, {2: 3, 3: 1, 1: 0, 4: 2}, 0)))
+@example((Instance1D.from_values(["-3/7", "1/7", "5/7", "9/7"]), ReceiverAssignment(SINKTREE1D, {1: 0, 2: 3, 3: 1}, 0)))
+def test_coverage_counts_match_naive_count(case):
+    inst, a = case
+    assert coverage_counts(inst, a) == naive_coverage_1d(inst, a)
 
 
 def test_integer_view_scales_by_the_lcm():
