@@ -11,27 +11,30 @@ ceil(log2 n) + 2 ranges covering a boundary point, range sets are capped at
 that size, which keeps the subproblem space quasi-polynomial.
 
 The search is branch and bound under a value limit L: a subproblem returns
-its exact value if that is at most L, else some lower bound above L.  Exact
-values go to the memo, "value > L" to a dict of lower bounds that answers
-later calls with a limit up to L.  Before computing a key the solver reads a
-coverage floor off it: the most any point of the interval is covered by the
-incoming and outgoing ranges and by the least ball each other non-root point
-could own (the one reaching its nearest neighbour in the interval).  The
-least balls' difference array is kept once per (lo, hi); a key's floor
-copies it, takes out the balls of the root and of the outgoing ranges'
-centers and adds the key's own ranges.  A key whose floor exceeds L goes to
-the lower bounds uncomputed.  `solve_exact` and `solve_opt_search` are one
-search: it deepens the limit 1, 2, ... on one solver under the full size
-cap, and the first limit some root meets is the optimum.
+its exact value if that is at most L, else some lower bound above L.  One
+memo holds both as plain pairs: (value, choice) once the value is exact, the
+choice being the child keys (None for a leaf or an infeasible key), and
+(bound, _BOUND) for a lower bound, which answers later calls with a limit
+below the bound.  Before computing a key the solver reads a coverage floor
+off it: the most any point of the interval is covered by the incoming and
+outgoing ranges and by the least ball each other non-root point could own
+(the one reaching its nearest neighbour in the interval).  The least balls'
+difference array is kept once per (lo, hi); a key's floor copies it, takes
+out the balls of the root and of the outgoing ranges' centers and adds the
+key's own ranges.  A key whose floor exceeds L goes to the memo as a lower
+bound uncomputed.  `solve_exact` and `solve_opt_search` are one search: it
+deepens the limit 1, 2, ... on one solver under the full size cap, and the
+first limit some root meets is the optimum.
 
 Splits are visited in ascending root coverage.  Every extra range a side may
 add escapes the side but not the interval, and a ball covers a contiguous
 run of indices around its center, so every extra covers the root: an
 option's root coverage is that of its base set (inherited ranges plus the
-edge to the root) plus its number of extras.  Options are built on demand
-and cached per side, in ascending coverage level and ascending child root
-within a level: a pair loop reads the cached list and builds the next option
-only at the list's end, so options no pair reaches are never built.  Each
+edge to the root) plus its number of extras.  Each side's options form a
+stream, in ascending coverage level and ascending child root within a level,
+cached as a replayable tee that is never advanced itself: a pair loop reads
+a copy of it, so an option is built on its first read and buffered for
+every later reader, and options no pair reaches are never built.  Each
 option carries the floor of its child key without incoming ranges (they only
 add coverage): per side the inherited ranges, per child root its edge, per
 option its extras, each in place of its center's least ball.  Once a pair's
@@ -55,9 +58,10 @@ does not depend on the visiting order: an unlimited search picks it too.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
-from typing import Iterator, NamedTuple, Optional
+from itertools import accumulate, combinations, product, tee
+from typing import Iterator, NamedTuple
 
 from .errors import InputError, InvariantError
 from .model import (
@@ -76,6 +80,9 @@ Key = tuple  # (lo, hi, root, incoming tuple, outgoing tuple)
 # (at most n).
 INFEASIBLE = 1 << 62
 
+# The choice of a memo entry whose value is only a lower bound.
+_BOUND = "bound"
+
 # Largest n the DP solvers accept by default, so none runs for seconds: both
 # solvers together take at most 0.29-0.66 s on the n <= 15 probes (random
 # seeds 1-10, worst seed 4; LogLower) and 1.0-1.3 s on gen_p(4) =
@@ -92,12 +99,6 @@ class Subproblem(NamedTuple):
 
 
 @dataclass
-class DpValue:
-    interference: int  # INFEASIBLE if no decomposition exists
-    choice: Optional[tuple[Optional[Key], Optional[Key]]] = None
-
-
-@dataclass
 class DpStats:
     subproblems: int = 0  # keys computed, again under each larger limit; not those cut by a floor
     memo_hits: int = 0
@@ -106,29 +107,8 @@ class DpStats:
     side_options: int = 0  # side options built
 
 
-@dataclass(slots=True)
-class _SideOptions:
-    """One side's split options, built on demand: `options` holds those
-    built so far, in ascending root coverage and ascending child root within
-    a coverage level; more() appends the next one from `pending` (None once spent)."""
-
-    options: list
-    pending: Optional[Iterator]
-    stats: Optional[DpStats]
-
-    def more(self) -> bool:
-        """Build the next option; False if there is none."""
-        option = self.pending and next(self.pending, None)
-        if option is None:
-            self.pending = None
-            return False
-        self.options.append(option)
-        self.stats.side_options += 1
-        return True
-
-
 # The one option of an empty side: no child, no ranges, no coverage, no floor.
-_NO_SIDE = _SideOptions([(None, (), 0, 0)], None, None)
+_NO_SIDE = tee([(None, (), 0, 0)], 1)[0]
 
 
 def _put(depth: list[int], lo: int, hi: int, span, ball: tuple[int, int]) -> None:
@@ -143,12 +123,12 @@ def _put(depth: list[int], lo: int, hi: int, span, ball: tuple[int, int]) -> Non
     depth[b - lo + 1 if b < hi else -1] -= 1
 
 
-def _option_stream(cover, lo: int, hi: int, held_depth: list[int], spans, roots: list, candidates):
+def _option_stream(stats: DpStats, cover, lo: int, hi: int, held_depth: list[int], spans, roots: list, candidates):
     """(child root, outgoing set, root coverage, floor) for every option of
-    the side [lo, hi] grown from roots, one coverage level at a time.  The
-    floor is that of the option's child key without incoming ranges: held_depth
-    with the child root's new edge (at its first option) and the picks in
-    place of their centers' least balls."""
+    the side [lo, hi] grown from roots, one coverage level at a time, counted
+    in stats as it is built.  The floor is that of the option's child key
+    without incoming ranges: held_depth with the child root's new edge (at its
+    first option) and the picks in place of their centers' least balls."""
     depths = {}
     top = max((root[2] + root[4] for root in roots), default=-1)
     for level in range(top + 1):
@@ -158,6 +138,7 @@ def _option_stream(cover, lo: int, hi: int, held_depth: list[int], spans, roots:
                 depth = depths[child_root] = held_depth.copy()
                 if edge is not None:  # else the held edge already replaced the ball
                     _put(depth, lo, hi, spans[child_root - lo], cover[child_root][edge.boundary])
+                stats.side_options += 1
                 yield child_root, base, level, max(accumulate(depth))
             elif 0 < count <= most:
                 depth = depths[child_root]
@@ -166,6 +147,7 @@ def _option_stream(cover, lo: int, hi: int, held_depth: list[int], spans, roots:
                         picked = depth.copy()
                         for c, q in picks:
                             _put(picked, lo, hi, spans[c - lo], cover[c][q])
+                        stats.side_options += 1
                         # picks are centered off the base's centers: no duplicates
                         yield child_root, tuple(sorted(base + picks)), level, max(accumulate(picked))
 
@@ -174,38 +156,36 @@ class _Solver:
     def __init__(self, instance: Instance1D, bound: int, stats: DpStats | None = None):
         self.instance = instance
         self.bound = bound
-        self.memo: dict[Key, DpValue] = {}
-        # lower[key] = L records that the subproblem's value exceeds L.
-        self.lower: dict[Key, int] = {}
+        # memo[key] = (value, choice): the exact value with its split (None
+        # for a leaf or an infeasible key), or (bound, _BOUND) when the value
+        # is only known to be at least bound.
+        self.memo: dict[Key, tuple] = {}
         self.stats = DpStats() if stats is None else stats
         # cover[c][b] = inclusive index range covered by the ball (c, b); all
         # later geometry runs on these integer intervals.
         self.cover = cover_table(instance)
-        self._side_cache: dict[tuple, _SideOptions] = {}
+        # Each side's options as a tee that is never advanced: pair loops read
+        # copies of it, so an option is built on its first read and kept.
+        self._side_cache: dict[tuple, Iterator] = {}
         self._extra_cache: dict[tuple, dict[int, list[Range]]] = {}
         self._profiles: dict[tuple[int, int], tuple[list[int], list[tuple[int, int]]]] = {}
 
-    def solve(self, key: Key, limit: int = INFEASIBLE) -> DpValue:
+    def solve(self, key: Key, limit: int = INFEASIBLE) -> int:
         """The exact value if it is at most limit, else a lower bound above
         limit."""
         hit = self.memo.get(key)
-        if hit is None:
-            known = self.lower.get(key)
-            if known is not None and known >= limit:
-                hit = DpValue(known + 1)
-        if hit is not None:
+        if hit is not None and (hit[1] is not _BOUND or hit[0] > limit):
             self.stats.memo_hits += 1
-            return hit
+            return hit[0]
         floor = self.floor(key)
         if floor > limit:
-            self.lower[key] = floor - 1
-            return DpValue(floor)
+            self.memo[key] = (floor, _BOUND)
+            return floor
         self.stats.subproblems += 1
-        value, cut = self._compute(key, limit)
-        if value.interference == INFEASIBLE and cut:
-            self.lower[key] = limit
-            return DpValue(limit + 1)
-        self.memo[key] = value
+        value, choice, cut = self._compute(key, limit)
+        if value == INFEASIBLE and cut:
+            value, choice = limit + 1, _BOUND
+        self.memo[key] = (value, choice)
         return value
 
     def floor(self, key: Key) -> int:
@@ -252,19 +232,20 @@ class _Solver:
             profile = self._profiles[(lo, hi)] = (depth, spans)
         return profile
 
-    def _compute(self, key: Key, limit: int) -> tuple[DpValue, bool]:
-        """Best split with value at most limit, and whether a split was cut
-        off at the limit (rather than found infeasible)."""
+    def _compute(self, key: Key, limit: int) -> tuple[int, tuple | None, bool]:
+        """(value, choice, cut): the best split's value if it is at most
+        limit (else INFEASIBLE) and its child keys, and whether a split was
+        cut off at the limit (rather than found infeasible)."""
         lo, hi, root, incoming, outgoing = key
         root_ranges = [r for r in outgoing if r.center == root]
         if len(root_ranges) > 1:
-            return DpValue(INFEASIBLE), False  # the root owns a single ball
+            return INFEASIBLE, None, False  # the root owns a single ball
 
         if lo == hi:
             # Leaf: the only admissible outgoing set is the root's parent edge.
             if len(outgoing) == 1 and root_ranges:
-                return DpValue(len(incoming) + 1), False
-            return DpValue(INFEASIBLE), False
+                return len(incoming) + 1, None, False
+            return INFEASIBLE, None, False
 
         cover = self.cover
         base_cover = len(root_ranges)
@@ -273,35 +254,29 @@ class _Solver:
             base_cover += a <= root <= b
         left = self._side(key, lo, root - 1)
         right = self._side(key, root + 1, hi)
-        cut = False
-        best = DpValue(INFEASIBLE)
-        l_opts, r_opts = left.options, right.options
-        if not (l_opts or left.pending and left.more()) or not (r_opts or right.pending and right.more()):
-            return best, cut
+        # Probe left first: a side with no option leaves the other unread.
+        r_first = next(copy(left), None) and next(copy(right), None)
+        if r_first is None:
+            return INFEASIBLE, None, False
+        r_least = r_first[2]
 
-        best_enc = None
+        choice = best_enc = None
+        cut = False
         ceiling = limit  # no split above min(limit, best value) can win
-        r_least = r_opts[0][2]
-        i = 0
-        while i < len(l_opts) or left.pending and left.more():
-            l_root, l_out, l_cov, l_floor = l_opts[i]
-            i += 1
+        for l_root, l_out, l_cov, l_floor in copy(left):
             if base_cover + l_cov + r_least > ceiling:
                 cut = True
                 break
-            j = 0
-            while j < len(r_opts) or right.pending and right.more():
-                r_root, r_out, r_cov, r_floor = r_opts[j]
-                j += 1
+            for r_root, r_out, r_cov, r_floor in copy(right):
                 value = base_cover + l_cov + r_cov
                 if value > ceiling:
                     cut = True
                     break
-                tie = value == ceiling and best_enc is not None
+                tie = value == ceiling and choice is not None
                 if tie:
                     # Settle the tie on the encoding before building keys; a
                     # larger lead loses every later tie of this level too.
-                    best_left, best_right = best.choice
+                    best_left, best_right = choice
                     if best_left is None:
                         lead, best_lead = r_root, best_right[2]
                     else:
@@ -330,7 +305,7 @@ class _Solver:
                     if value > cap:
                         break
                     if child_key is not None:
-                        value = max(value, self.solve(child_key, cap).interference)
+                        value = max(value, self.solve(child_key, cap))
                 if value == INFEASIBLE:
                     continue
                 if value > cap:
@@ -338,16 +313,15 @@ class _Solver:
                     # then every cap was the full limit.
                     cut = True
                     continue
-                best = DpValue(value, (left_key, right_key))
-                best_enc = enc
-                ceiling = value
-        return best, cut
+                choice, best_enc, ceiling = (left_key, right_key), enc, value
+        return (INFEASIBLE if choice is None else ceiling), choice, cut
 
-    def _side(self, key: Key, lo: int, hi: int) -> _SideOptions:
-        """The cached options of the side [lo, hi] of the key's interval,
-        grown from per-child-root data: its base set (inherited ranges plus
-        the edge to the root), the base set's coverage of the root, the free
-        centers, the most extras the size cap allows and the edge if new."""
+    def _side(self, key: Key, lo: int, hi: int) -> Iterator:
+        """The cached option stream of the side [lo, hi] of the key's
+        interval, grown from per-child-root data: its base set (inherited
+        ranges plus the edge to the root), the base set's coverage of the
+        root, the free centers, the most extras the size cap allows and the
+        edge if new.  Read it through a copy."""
         if lo > hi:
             return _NO_SIDE
         sub_lo, sub_hi, root, _, outgoing = key
@@ -383,8 +357,8 @@ class _Solver:
             most = min(len(centers), self.bound - len(base))
             if most >= 0:
                 roots.append((child_root, base, base_cov, centers, most, None if edge in held else edge))
-        side = _SideOptions([], _option_stream(cover, lo, hi, held_depth, spans, roots, candidates), self.stats)
-        self._side_cache[cache_key] = side
+        stream = _option_stream(self.stats, cover, lo, hi, held_depth, spans, roots, candidates)
+        side = self._side_cache[cache_key] = tee(stream, 1)[0]
         return side
 
     def _extra_candidates(self, key: Key, lo: int, hi: int) -> dict[int, list[Range]]:
@@ -428,11 +402,11 @@ def size_bound(n: int) -> int:
 
 
 def _collect_edges(solver: _Solver, key: Key, edges: dict[int, int]) -> None:
-    value = solver.memo[key]
-    if value.choice is None:
+    choice = solver.memo[key][1]
+    if choice is None:
         return
     root = key[2]
-    for child_key in value.choice:
+    for child_key in choice:
         if child_key is not None:
             edges[child_key[2]] = root
             _collect_edges(solver, child_key, edges)
@@ -445,7 +419,7 @@ def _best_root(solver: _Solver, limit: int) -> OracleResult | None:
     best, best_key = INFEASIBLE, None
     for root in range(n):
         key = Subproblem(0, n - 1, root, (), ())
-        value = solver.solve(key, limit).interference
+        value = solver.solve(key, limit)
         if value <= limit and value != INFEASIBLE:
             # a later root wins only with a smaller value
             best, best_key, limit = value, key, value - 1

@@ -46,6 +46,32 @@ def test_solve_verifies_witness(tmp_path, capsys):
     assert format_assignment(parse_assignment(text)) == text
 
 
+def test_solve_nna_counts_coverage_once(tmp_path, capsys, monkeypatch):
+    # The reported value is the witness's own, so one coverage pass suffices.
+    from interfmin import model
+
+    inst = tmp_path / "i.txt"
+    inst.write_text("0\n1\n3\n4\n9\n")
+    passes = []
+    coverage_counts = model.coverage_counts
+    monkeypatch.setattr(model, "coverage_counts", lambda *a: passes.append(a) or coverage_counts(*a))
+    code, out, _ = run(capsys, "solve", "--method", "nna", str(inst))
+    assert code == 0 and "optimum: " in out
+    assert len(passes) == 1
+
+
+def test_solve_nna_refuses_an_invalid_witness(tmp_path, capsys, monkeypatch):
+    from interfmin import cli
+    from interfmin.model import SINKTREE1D, ReceiverAssignment
+
+    inst = tmp_path / "i.txt"
+    inst.write_text("0\n1\n2\n3\n")
+    cyclic = ReceiverAssignment(SINKTREE1D, {1: 2, 2: 1, 3: 0}, 0)
+    monkeypatch.setattr(cli, "run_nna", lambda instance, rounds: cyclic)
+    code, out, err = run(capsys, "solve", "--method", "nna", str(inst))
+    assert code == 3 and out == "" and "witness failed validation" in err
+
+
 def run_process(*argv, cwd=None):
     """Run the CLI in a fresh interpreter, so an uncaught exception would show
     up as a traceback on stderr."""

@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import random
+from copy import copy
 from itertools import accumulate, combinations, product
 
 import pytest
 
 from interfmin.dpsolve import (
+    _BOUND,
     DEFAULT_CAP_DP,
     INFEASIBLE,
     DpStats,
@@ -24,7 +27,16 @@ from interfmin.oracle import brute_force_1d
 
 
 def solve_key(inst, key, bound=4):
-    return _Solver(inst, bound).solve(key)
+    """The memo entry (value, choice) of one unlimited solve of key."""
+    solver = _Solver(inst, bound)
+    value = solver.solve(key)
+    assert solver.memo[key][0] == value
+    return solver.memo[key]
+
+
+def exact_entries(solver):
+    """The memo's entries with an exact value: key -> (value, choice)."""
+    return {key: entry for key, entry in solver.memo.items() if entry[1] is not _BOUND}
 
 
 def covers(solver, ball, idx):
@@ -40,17 +52,17 @@ def escapes(solver, ball, lo, hi):
 def test_singleton_base_cases():
     inst = Instance1D.from_values([0, 1])
     # one outgoing range centered at the root: interference |incoming| + 1
-    v = solve_key(inst, Subproblem(0, 0, 0, (), (Range(0, 1),)))
-    assert v.interference == 1
-    v = solve_key(inst, Subproblem(0, 0, 0, (Range(1, 0),), (Range(0, 1),)))
-    assert v.interference == 2
+    value, _ = solve_key(inst, Subproblem(0, 0, 0, (), (Range(0, 1),)))
+    assert value == 1
+    value, _ = solve_key(inst, Subproblem(0, 0, 0, (Range(1, 0),), (Range(0, 1),)))
+    assert value == 2
     # empty outgoing set: infeasible away from the global level
-    v = solve_key(inst, Subproblem(0, 0, 0, (), ()))
-    assert v.interference == INFEASIBLE
+    value, _ = solve_key(inst, Subproblem(0, 0, 0, (), ()))
+    assert value == INFEASIBLE
     # more than one range at the lone point: infeasible
     inst3 = Instance1D.from_values([0, 1, 2])
-    v = solve_key(inst3, Subproblem(1, 1, 1, (), (Range(1, 0), Range(1, 2))))
-    assert v.interference == INFEASIBLE
+    value, _ = solve_key(inst3, Subproblem(1, 1, 1, (), (Range(1, 0), Range(1, 2))))
+    assert value == INFEASIBLE
 
 
 def test_two_points():
@@ -64,10 +76,10 @@ def test_global_subproblem_trace():
     # Root at the right point: the lone left child carries the connecting
     # edge's range, and that ball also covers the root.
     inst = Instance1D.from_values([0, 1])
-    v = solve_key(inst, Subproblem(0, 1, 1, (), ()))
-    assert v.interference == 1
-    assert v.choice is not None
-    left_key, right_key = v.choice
+    value, choice = solve_key(inst, Subproblem(0, 1, 1, (), ()))
+    assert value == 1
+    assert choice is not None
+    left_key, right_key = choice
     assert right_key is None
     assert left_key == (0, 0, 0, (), (Range(0, 1),))
 
@@ -146,7 +158,7 @@ def unlimited_search(inst, bound):
     solver = _Solver(inst, bound)
     best, best_root = INFEASIBLE, None
     for root in range(n):
-        value = solver.solve(Subproblem(0, n - 1, root, (), ())).interference
+        value = solver.solve(Subproblem(0, n - 1, root, (), ()))
         if value < best:
             best, best_root = value, root
     if best_root is None:
@@ -188,18 +200,20 @@ def test_rising_limits_give_exact_values():
     reference = _Solver(inst, bound)
     for root in range(inst.n):
         reference.solve(Subproblem(0, inst.n - 1, root, (), ()))
-    keys = sorted(reference.memo, key=repr)[::7]
-    assert any(reference.memo[k].interference == INFEASIBLE for k in keys)
+    exact_memo = exact_entries(reference)
+    keys = sorted(exact_memo, key=repr)[::7]
+    assert any(exact_memo[k][0] == INFEASIBLE for k in keys)
     solver = _Solver(inst, bound)
     for limit in (*range(1, inst.n), INFEASIBLE):
         for key in keys:
-            exact = reference.memo[key]
+            exact = exact_memo[key]
             got = solver.solve(Subproblem(*key), limit)
-            if exact.interference <= limit:
-                assert got == exact, (key, limit)
+            if exact[0] <= limit:
+                assert (got, solver.memo[key][1]) == exact, (key, limit)
             else:
-                assert got.interference > limit, (key, limit)
-    assert solver.lower  # some subproblems were cut on the way up
+                assert got > limit, (key, limit)
+    # some subproblems were cut on the way up
+    assert any(choice is _BOUND for _, choice in solver.memo.values())
 
 
 def test_dp_cap_refuses():
@@ -263,11 +277,12 @@ def read_side_options(solver, sub, lo, hi, budget):
     """The side's options covering the root at most budget times, read on
     demand the way a pair loop reads them (up to the first one above the
     budget), and whether an option above the budget exists."""
-    side = solver._side(sub, lo, hi)
-    i = 0
-    while (i < len(side.options) or side.more()) and side.options[i][2] <= budget:
-        i += 1
-    return side.options[:i], i < len(side.options) or side.more()
+    options = []
+    for option in copy(solver._side(sub, lo, hi)):
+        if option[2] > budget:
+            return options, True
+        options.append(option)
+    return options, False
 
 
 def test_lazy_side_options_are_the_full_list_by_coverage():
@@ -280,7 +295,7 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
         reference = _Solver(inst, bound)
         for root in range(n):
             reference.solve(Subproblem(0, n - 1, root, (), ()))
-        for key in sorted(reference.memo, key=repr)[::2]:
+        for key in sorted(exact_entries(reference), key=repr)[::2]:
             sub = Subproblem(*key)
             for lo, hi in ((sub.lo, sub.root - 1), (sub.root + 1, sub.hi)):
                 if lo > hi:
@@ -408,8 +423,8 @@ def reference_floor(solver, sub):
 
 
 def test_coverage_floor_is_a_lower_bound():
-    # Every key an unlimited search memoizes has an exact value, and the floor
-    # read off the key may not exceed it; many inner keys meet it exactly.
+    # The floor read off a key may not exceed the exact value an unlimited
+    # search memoizes for it; many inner keys meet it exactly.
     # The floor equals the point-by-point reference on every key, those the
     # deepening search cut by their floor included.  Pairs the deepening
     # search gated on an option's floor count as cuts too: the floors of their
@@ -423,20 +438,20 @@ def test_coverage_floor_is_a_lower_bound():
         solver = _Solver(inst, size_bound(n))
         for root in range(n):
             solver.solve(Subproblem(0, n - 1, root, (), ()))
-        for key, value in solver.memo.items():
+        for key, (value, _) in exact_entries(solver).items():
             floor = solver.floor(Subproblem(*key))
             assert floor == reference_floor(solver, Subproblem(*key)), (inst.points, key)
-            assert floor <= value.interference, (inst.points, key)
+            assert floor <= value, (inst.points, key)
             keys += 1
-            tight += floor == value.interference and key[0] < key[1]
+            tight += floor == value and key[0] < key[1]
         deepening = _Solver(inst, size_bound(n))
         for limit in range(1, n):
             if _best_root(deepening, limit) is not None:
                 break
-        for key in (*deepening.memo, *deepening.lower):
+        for key, (_, choice) in deepening.memo.items():
             sub = Subproblem(*key)
             assert deepening.floor(sub) == reference_floor(deepening, sub), (inst.points, key)
-            cut += key in deepening.lower
+            cut += choice is _BOUND
         cut += deepening.stats.gated_pairs
     assert keys > 4000 and tight > 1000 and cut > 1000
 
@@ -451,12 +466,12 @@ def test_cut_keys_passed_the_limit(n, seed):
     for limit in range(1, n):
         if _best_root(solver, limit) is not None:
             break
-    computed = [key for key, known in solver.lower.items() if solver.floor(key) <= known]
+    computed = [key for key, (bound, choice) in solver.memo.items() if choice is _BOUND and solver.floor(key) < bound]
     assert computed
     for key in computed:
         lo, hi, root = key[:3]
         for side in (solver._side(key, lo, root - 1), solver._side(key, root + 1, hi)):
-            assert side.options or side.more(), (n, seed, key)
+            assert next(copy(side), None) is not None, (n, seed, key)
 
 
 def test_deepening_subproblem_gate_n12():
@@ -500,3 +515,20 @@ def test_side_options_built_on_demand_n15():
     stats = DpStats()
     assert solve_exact(random_instance_1d(15, 4, 100), stats, cap=15).optimum == 4
     assert stats.side_options <= 40000
+
+
+def test_dp_solvers_leave_nothing_for_the_cycle_collector():
+    # The side caches hold tees over option generators; a generator that
+    # refers to its solver would leave every solver in a reference cycle.
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(1, 6):
+            inst = random_instance_1d(12, seed, 100)
+            for solver in (solve_exact, solve_opt_search):
+                solver(inst, cap=12)
+                assert gc.collect() == 0, (seed, solver.__name__)
+    finally:
+        if enabled:
+            gc.enable()
