@@ -82,11 +82,11 @@ def _build_parser() -> _Parser:
             sp.add_argument("--dot", help="write the communication graph (2D only)")
     sp = check_sub.add_parser("gadget")
     sp.add_argument("grid")
-    sp.add_argument("--epsilon", default="1/64")
+    sp.add_argument("--epsilon", default=reduction.DEFAULT_EPSILON)
 
     red = sub.add_parser("reduce", help="grid graph to 2D gadget point set")
     red.add_argument("grid")
-    red.add_argument("--epsilon", default="1/64")
+    red.add_argument("--epsilon", default=reduction.DEFAULT_EPSILON)
     red.add_argument("-o", "--out")
     red.add_argument("--roles-out")
 
@@ -96,7 +96,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("grid")
     sp = ham_sub.add_parser("assign")
     sp.add_argument("grid")
-    sp.add_argument("--epsilon", default="1/64")
+    sp.add_argument("--epsilon", default=reduction.DEFAULT_EPSILON)
     sp.add_argument("--points-out")
     sp.add_argument("--assign-out")
     return parser
@@ -155,23 +155,19 @@ def _cmd_solve(args) -> int:
     instance = textio.parse_points(_read(args.instance))
     if args.dot and not isinstance(instance, Instance2D):
         raise InputError("--dot needs a 2D instance")
+    cap = {} if args.cap is None else {"cap": args.cap}  # else each solver's default
     t0 = time.monotonic()
     if args.method == "oracle":
         oracle_stats = oracle.OracleStats()
-        if isinstance(instance, Instance1D):
-            cap = args.cap if args.cap is not None else oracle.DEFAULT_CAP_1D
-            result = oracle.brute_force_1d(instance, cap=cap, stats=oracle_stats)
-        else:
-            cap = args.cap if args.cap is not None else oracle.DEFAULT_CAP_2D
-            result = oracle.brute_force_2d(instance, cap=cap, stats=oracle_stats)
+        brute_force = oracle.brute_force_1d if isinstance(instance, Instance1D) else oracle.brute_force_2d
+        result = brute_force(instance, stats=oracle_stats, **cap)
         stats = asdict(oracle_stats)
     elif args.method in ("dp", "dp-optsearch"):
         if not isinstance(instance, Instance1D):
             raise InputError("the dp solvers need a 1D instance")
         dp_stats = dpsolve.DpStats()
         solver = dpsolve.solve_exact if args.method == "dp" else dpsolve.solve_opt_search
-        cap = args.cap if args.cap is not None else dpsolve.DEFAULT_CAP_DP
-        result = solver(instance, dp_stats, cap=cap)
+        result = solver(instance, dp_stats, **cap)
         stats = asdict(dp_stats)
     else:
         if not isinstance(instance, Instance1D):

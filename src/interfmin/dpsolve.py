@@ -167,7 +167,6 @@ class _Solver:
         # Each side's options as a tee that is never advanced: pair loops read
         # copies of it, so an option is built on its first read and kept.
         self._side_cache: dict[tuple, Iterator] = {}
-        self._extra_cache: dict[tuple, dict[int, list[Range]]] = {}
         self._profiles: dict[tuple[int, int], tuple[list[int], list[tuple[int, int]]]] = {}
 
     def solve(self, key: Key, limit: int = INFEASIBLE) -> int:
@@ -366,17 +365,13 @@ class _Solver:
         order: balls of future edges inside this side that reach into the rest
         of the interval but never leave it."""
         sub_lo, sub_hi = key[:2]
-        cache_key = (lo, hi, sub_lo, sub_hi)
-        candidates = self._extra_cache.get(cache_key)
-        if candidates is None:
-            candidates = {}
-            for center in range(lo, hi + 1):
-                row = self.cover[center]
-                for boundary in range(lo, hi + 1):
-                    a, b = row[boundary]
-                    if boundary != center and (a < lo or b > hi) and sub_lo <= a and b <= sub_hi:
-                        candidates.setdefault(center, []).append(Range(center, boundary))
-            self._extra_cache[cache_key] = candidates
+        candidates: dict[int, list[Range]] = {}
+        for center in range(lo, hi + 1):
+            row = self.cover[center]
+            for boundary in range(lo, hi + 1):
+                a, b = row[boundary]
+                if boundary != center and (a < lo or b > hi) and sub_lo <= a and b <= sub_hi:
+                    candidates.setdefault(center, []).append(Range(center, boundary))
         return candidates
 
     def _child_key(self, incoming, lo, hi, child_root, child_out, sibling_out, root_ranges):

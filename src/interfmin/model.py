@@ -5,13 +5,13 @@ Each instance stores its coordinates as integers, `ints`, over one positive
 `scale`: coordinate i is ints[i] / scale, and scale is the least common
 denominator of all coordinates (one scale serves both axes in 2D), so equal
 point sets are equal instances.  Rationals become integers only where values
-enter (`lattice`), and the derived `points` turns them back into Fractions
-on request.  Because scale > 0, the integers keep the order of
-coordinates, the signs of their differences and the order of squared
-distances exactly, and those are the only things the model and the solvers
-ask of the geometry; so every coverage and distance test runs on Python ints,
-with no floats and no rounding.  Points are addressed by index: position in
-the sorted coordinate order for 1D instances, input order for 2D instances.
+enter (`lattice` reads each as an integer pair), and the derived `points` turns
+them back into Fractions on request.  Because scale > 0, the integers keep the
+order of coordinates, the signs of their differences and the order of squared
+distances exactly, and those are the only things the model and the solvers ask
+of the geometry; so every coverage and distance test runs on Python ints, with
+no floats and no rounding.  Points are addressed by index: position in the
+sorted coordinate order for 1D instances, input order for 2D instances.
 
 In 2D every point owns a ball, and a ball covers exactly its center and the
 center's out-neighbors in the communication graph, so the interference of a
@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, isqrt, lcm
+from numbers import Rational
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InputError, InvariantError
@@ -37,20 +38,23 @@ ASYM2D = "asym2d"
 SINKTREE1D = "sinktree1d"
 
 
-def as_rational(value) -> int | Fraction:
-    """Coerce ints, strings like '3' or '-3/4', and Fractions to an exact
-    rational; tokens 'a' and 'a/b' of digits (a may have a '-') skip Fraction.
-    Exponent notation is refused: its parse time grows with the exponent."""
+def _ratio(value) -> tuple[int, int]:
+    """An int, a Fraction or a token as (numerator, denominator) in lowest terms;
+    tokens 'a' and 'a/b' of digits (a may have a '-') skip Fraction.  Exponent
+    notation is refused: its parse time grows with the exponent."""
     try:
         if type(value) is str:
             if value.isdecimal():
-                return int(value)
+                return int(value), 1
             num, slash, den = value.partition("/")
             if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
-                return Fraction(int(num), int(den)) if slash else int(num)
+                a, b = int(num), int(den) if slash else 1
+                g = gcd(a, b) if b else 0  # a zero denominator raises in a // g
+                return a // g, b // g
             if "e" in value or "E" in value:
                 raise ValueError("exponent notation")
-        return Fraction(value)
+        q = value if isinstance(value, Rational) else Fraction(value)
+        return q.numerator, q.denominator
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         shown = repr(value)
         if type(value) is str and len(value) > 40:  # echo a long token by its head
@@ -60,11 +64,12 @@ def as_rational(value) -> int | Fraction:
 
 def lattice(values: Iterable) -> tuple[list[int], int]:
     """Rationals as integers over their least common denominator: (ints, scale)."""
-    qs = [as_rational(v) for v in values]
-    scale = lcm(*(q.denominator for q in qs))
+    flat = list(chain.from_iterable(map(_ratio, values)))  # each pair is freed as it is read
+    nums, dens = flat[::2], flat[1::2]
+    scale = lcm(*dens)
     if scale == 1:
-        return list(map(int, qs)), 1
-    return [q.numerator * (scale // q.denominator) for q in qs], scale
+        return nums, 1
+    return [a * (scale // b) for a, b in zip(nums, dens)], scale
 
 
 def _check_scale(scale: int, coords: Iterable[int]) -> None:
@@ -327,6 +332,7 @@ def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[
 
 
 def interference_at(instance: Instance, assignment: ReceiverAssignment, point_id: int) -> int:
+    """One point's coverage count; O(n) per call, so `coverage_counts` serves every point."""
     if not 0 <= point_id < instance.n:
         raise InputError(f"no point with index {point_id}")
     if isinstance(instance, Instance2D):

@@ -28,11 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .errors import CapExceededError, InputError, InvariantError
-from .model import ASYM2D, Instance2D, ReceiverAssignment, as_rational, communication_graph_2d
-from .model import _reach, dist2, near_lists
+from .model import ASYM2D, Instance2D, ReceiverAssignment, communication_graph_2d
+from .model import _reach, dist2, lattice, near_lists
 
 Vertex = tuple[int, int]
 
@@ -111,23 +110,24 @@ class ReductionOutput:
         return self._base_index[vertex] + _ROLE_OFFSET[role]
 
 
-def gadget_scale(epsilon: Fraction) -> int:
-    """lcm(16, den epsilon), the least common denominator of a reduction's
-    coordinates: grid edges, the spacing and epsilon are 1, 5/16 and epsilon."""
-    return lcm(SATELLITE_SPACING.denominator, epsilon.denominator)
+def gadget_units(epsilon) -> tuple[int, int, int]:
+    """(scale, spacing, epsilon): the least common denominator of a reduction's
+    lengths 1, 5/16 and epsilon, and the last two as integers over it."""
+    (sp, e), scale = lattice((SATELLITE_SPACING, epsilon))
+    if e <= 0:
+        raise InputError("epsilon must be positive")
+    return scale, sp, e
 
 
 def build_gadget(vertex: Vertex, incident_dirs, epsilon=DEFAULT_EPSILON) -> dict[str, Vertex]:
     """The 13 gadget points of one grid vertex by role, in ROLE_ORDER, on the
-    lattice of unit 1 / gadget_scale(epsilon).
+    lattice of gadget_units(epsilon).
 
     Satellites take the incident directions first; with fewer than three
     incident edges the remaining stations go to the smallest free directions,
     and the connector takes the one direction left over.
     """
-    eps = as_rational(epsilon)
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
+    scale, sp, e = gadget_units(epsilon)
     dirs = list(incident_dirs)
     if not 1 <= len(dirs) <= 3:
         raise InputError("a grid vertex must have between 1 and 3 incident edges")
@@ -136,12 +136,7 @@ def build_gadget(vertex: Vertex, incident_dirs, epsilon=DEFAULT_EPSILON) -> dict
 
     connector_dir = [d for d in DIRECTIONS if d not in dirs][-1]
     sat_dirs = [d for d in DIRECTIONS if d != connector_dir]
-
-    # The vertex, the satellite spacing and epsilon in lattice units.
-    scale = gadget_scale(eps)
     vx, vy = vertex[0] * scale, vertex[1] * scale
-    sp = SATELLITE_SPACING.numerator * (scale // SATELLITE_SPACING.denominator)
-    e = eps.numerator * (scale // eps.denominator)
 
     def at(direction: Vertex, distance: int) -> Vertex:
         return (vx + distance * direction[0], vy + distance * direction[1])
@@ -170,16 +165,15 @@ def reduce_grid(grid: GridGraph, epsilon=DEFAULT_EPSILON, run_checks: bool = Tru
     if grid.max_degree() > 3:
         raise InputError("grid graph must have maximum degree 3")
 
-    eps = Fraction(as_rational(epsilon))
+    scale, sp, e = gadget_units(epsilon)
+    eps = Fraction(e, scale)
     vertices = tuple(sorted(grid.vertices))
     points: list[Vertex] = []
     for v in vertices:
         points += build_gadget(v, [(w[0] - v[0], w[1] - v[1]) for w in grid.neighbors(v)], eps).values()
-    scale = gadget_scale(eps)
 
     # Across each grid edge, the satellites facing each other sit the
     # satellite spacing in from either end.
-    sp = SATELLITE_SPACING.numerator * (scale // SATELLITE_SPACING.denominator)
     index = {p: i for i, p in enumerate(points)}
     partner: dict[int, int] = {}
     for u, w in grid.edges():
@@ -216,22 +210,21 @@ def geometry_violations(red: ReductionOutput) -> list[str]:
       grid-adjacent or diagonal gadgets is checked against the floor.
 
     Every length is compared in units of 1 / instance.scale, a multiple of
-    gadget_scale(epsilon), where all of them are integers.
+    the scale of gadget_units(epsilon), where all of them are integers.
     """
-    eps = red.epsilon
     scale = red.instance.scale
     problems: list[str] = []
     pts = red.instance.ints
-    sp = SATELLITE_SPACING.numerator * (scale // SATELLITE_SPACING.denominator)
-    e = eps.numerator * (scale // eps.denominator)
+    unit, sp, e = gadget_units(red.epsilon)
+    sp, e = sp * (scale // unit), e * (scale // unit)
     path_radius = scale - 2 * sp  # a grid edge is `scale` long
 
     if not sp * sp + (sp - e) ** 2 > path_radius**2:
-        problems.append(f"epsilon {eps} too large: a path satellite reaches a perpendicular station")
+        problems.append(f"epsilon {red.epsilon} too large: a path satellite reaches a perpendicular station")
     floor = scale - 2 * sp - 4 * e  # separation floor divided by sqrt(2)
     floor2 = 2 * floor * floor
     if not (floor > 0 and floor2 > (sp + 2 * e) ** 2):
-        problems.append(f"epsilon {eps} too large: an inhibitor hub reaches another gadget's inhibitor")
+        problems.append(f"epsilon {red.epsilon} too large: an inhibitor hub reaches another gadget's inhibitor")
 
     eps2, tie, sat2 = e * e, (sp + e) ** 2, sp * sp
     index_of = red.index_of

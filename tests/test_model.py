@@ -18,7 +18,6 @@ from interfmin.model import (
     Instance2D,
     ReceiverAssignment,
     _strongly_connected,
-    as_rational,
     communication_graph_2d,
     count_bends,
     cover_table,
@@ -29,6 +28,7 @@ from interfmin.model import (
     interference,
     interference_at,
     is_valid,
+    lattice,
 )
 from interfmin.nna import nna
 from interfmin.reduction import GridGraph, assignment_from_ham_path, extract_connection_structure, reduce_grid
@@ -715,8 +715,8 @@ RATIONAL_TOKENS = [
 
 
 def rational_reference(token: str):
-    """Fraction(token), or the InputError message as_rational gives when
-    Fraction refuses the token or the token uses exponent notation."""
+    """Fraction(token), or the InputError message the lattice parse gives
+    when Fraction refuses the token or the token uses exponent notation."""
     try:
         if "e" in token or "E" in token:
             raise ValueError("exponent notation")
@@ -727,10 +727,12 @@ def rational_reference(token: str):
 
 
 def rational_answer(token: str):
+    """The token through `lattice`, as a Fraction, or its InputError message."""
     try:
-        return as_rational(token)
+        (x,), scale = lattice([token])
     except InputError as exc:
         return str(exc)
+    return Fraction(x, scale)
 
 
 @pytest.mark.parametrize("token", RATIONAL_TOKENS, ids=range(len(RATIONAL_TOKENS)))

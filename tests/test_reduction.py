@@ -6,6 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
+from interfmin import model, reduction
 from interfmin.errors import CapExceededError, InputError
 from interfmin.model import (
     ASYM2D,
@@ -25,10 +26,11 @@ from interfmin.reduction import (
     build_gadget,
     extract_connection_structure,
     find_ham_path,
-    gadget_scale,
+    gadget_units,
     geometry_violations,
     reduce_grid,
 )
+from interfmin.textio import format_points, parse_points
 
 EPS = Fraction(1, 64)
 SPACING = Fraction(5, 16)  # main point to satellite
@@ -45,11 +47,15 @@ def path_grid(k):
 def test_gadget_coordinates():
     # Positions in units of 1/64, the lattice of epsilon 1/64.
     g = build_gadget((0, 0), [(1, 0), (-1, 0), (0, 1)], EPS)
-    assert gadget_scale(EPS) == 64
+    assert gadget_units(EPS) == (64, 20, 1)  # (scale, spacing, epsilon)
     assert g["C"] == (0, -21)  # -(s + eps)
     assert g["Ic"] == (0, -43)  # -(2s + 3 eps)
     assert g["I1"] == (0, -42)  # -(2s + 2 eps)
     assert len(g) == 13
+    # Epsilon 1/100 puts the lattice at 1/lcm(16, 100) = 1/400.
+    assert gadget_units("1/100") == gadget_units(Fraction(1, 100)) == (400, 125, 4)
+    g = build_gadget((1, 0), [(1, 0)], "1/100")
+    assert g["C"] == (400, -129) and g["Ic"] == (400, -262)
 
 
 def test_satellite_prime_is_clockwise():
@@ -64,6 +70,26 @@ def test_gadget_degree_errors():
         build_gadget((0, 0), [], EPS)
     with pytest.raises(InputError):
         build_gadget((0, 0), [(1, 0), (-1, 0), (0, 1), (0, -1)], EPS)
+
+
+def test_rationals_reach_the_lattice_without_a_fraction_per_token_or_gadget(monkeypatch):
+    made = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(model, "Fraction", CountedFraction)
+    monkeypatch.setattr(reduction, "Fraction", CountedFraction)
+    for k in (2, 20):
+        for epsilon in ("1/64", Fraction(1, 100), "3/320"):
+            made.clear()
+            red = reduce_grid(path_grid(k), epsilon)  # geometry checks included
+            assert len(made) == 1 and red.epsilon == Fraction(epsilon)  # red.epsilon itself
+            text = format_points(red.instance)  # 'a' and 'a/b' tokens
+            made.clear()
+            assert parse_points(text) == red.instance and made == []
 
 
 def test_reduce_point_counts():
