@@ -61,7 +61,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product, tee
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import InputError, InvariantError
 from .model import (
@@ -88,14 +88,6 @@ _BOUND = "bound"
 # seeds 1-10, worst seed 4; LogLower) and 1.0-1.3 s on gen_p(4) =
 # LogLower(16) (2 cores, Python 3.11).
 DEFAULT_CAP_DP = 15
-
-
-class Subproblem(NamedTuple):
-    lo: int
-    hi: int
-    root: int
-    incoming: tuple[Range, ...]
-    outgoing: tuple[Range, ...]
 
 
 @dataclass
@@ -413,7 +405,7 @@ def _best_root(solver: _Solver, limit: int) -> OracleResult | None:
     n = solver.instance.n
     best, best_key = INFEASIBLE, None
     for root in range(n):
-        key = Subproblem(0, n - 1, root, (), ())
+        key = (0, n - 1, root, (), ())
         value = solver.solve(key, limit)
         if value <= limit and value != INFEASIBLE:
             # a later root wins only with a smaller value

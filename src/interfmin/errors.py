@@ -1,4 +1,5 @@
-"""Exception types shared by all solvers and the CLI.
+"""Exception types shared by all solvers and the CLI, and how their messages
+quote the input.
 
 The CLI maps these to exit codes: InputError -> 1, CapExceededError -> 2,
 InvariantError -> 3.
@@ -15,3 +16,10 @@ class CapExceededError(RuntimeError):
 
 class InvariantError(AssertionError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def echo(value) -> str:
+    """repr(value) for a message; a string over 40 characters is echoed by its head and its length."""
+    if type(value) is str and len(value) > 40:
+        return f"{value[:40]!r}... ({len(value)} characters)"
+    return repr(value)

@@ -15,8 +15,9 @@ sorted coordinate order for 1D instances, input order for 2D instances.
 
 In 2D every point owns a ball, and a ball covers exactly its center and the
 center's out-neighbors in the communication graph, so the interference of a
-2D assignment is 1 plus the largest in-degree of that graph.  That graph and
-its coverage counts are built once per (instance, receiver map), kept on the
+2D assignment is 1 plus the largest in-degree of that graph.  One ball query,
+`in_balls`, builds that graph and serves the reduction's gadget checks.  The
+graph and its counts are built once per (instance, receiver map), kept on the
 assignment, and rebuilt for another instance or a changed map.
 """
 
@@ -31,7 +32,7 @@ from math import gcd, isqrt, lcm
 from numbers import Rational
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, echo
 
 # Model tags for receiver assignments.
 ASYM2D = "asym2d"
@@ -56,10 +57,7 @@ def _ratio(value) -> tuple[int, int]:
         q = value if isinstance(value, Rational) else Fraction(value)
         return q.numerator, q.denominator
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        shown = repr(value)
-        if type(value) is str and len(value) > 40:  # echo a long token by its head
-            shown = f"{value[:40]!r}... ({len(value)} characters)"
-        raise InputError(f"not a rational number: {shown}") from exc
+        raise InputError(f"not a rational number: {echo(value)}") from exc
 
 
 def lattice(values: Iterable) -> tuple[list[int], int]:
@@ -201,11 +199,12 @@ def dist2(p: tuple, q: tuple):
     return dx * dx + dy * dy
 
 
-def near_lists(pts: Sequence[tuple[int, int]], reach2: int) -> list[list[int]]:
-    """For each integer point, the ascending indices of the points in the 3x3
-    block of square cells around its own.  The cell side is the least integer
-    at least sqrt(reach2), so the list of pts[i] holds every point within
-    squared distance `reach2` of it; points in one cell share one list."""
+def in_balls(pts: Sequence[tuple[int, int]], radii2: Sequence[int]) -> list[list[int]]:
+    """For each integer point pts[i], the ascending indices of the other points
+    within squared distance radii2[i] of it (none for a negative radius).  The
+    cell side is the least integer at least the square root of the largest
+    radius; each point scans the 3x3 block of cells its cell's points share."""
+    reach2 = max(radii2, default=0)
     side = isqrt(reach2 - 1) + 1 if reach2 > 0 else 1
     cell_of = [(x // side, y // side) for x, y in pts]
     members: dict[tuple[int, int], list[int]] = {}
@@ -215,7 +214,11 @@ def near_lists(pts: Sequence[tuple[int, int]], reach2: int) -> list[list[int]]:
     block = {}
     for cx, cy in members:
         block[cx, cy] = sorted(i for dx, dy in around for i in members.get((cx + dx, cy + dy), ()))
-    return [block[cell] for cell in cell_of]
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    return [
+        [q for q in block[cell] if (xs[q] - x) ** 2 + (ys[q] - y) ** 2 <= r2 and q != p] if r2 >= 0 else []
+        for p, (cell, x, y, r2) in enumerate(zip(cell_of, xs, ys, radii2))
+    ]
 
 
 def cover_table(instance: Instance1D) -> list[list[tuple[int, int]]]:
@@ -247,13 +250,7 @@ def _evaluate_2d(instance: Instance2D, assignment: ReceiverAssignment) -> _Eval2
         return memo
     assignment.check_for(instance)
     pts, receiver = instance.ints, assignment.receiver
-    radii2 = [dist2(c, pts[receiver[p]]) for p, c in enumerate(pts)]
-    near = near_lists(pts, max(radii2, default=0))
-    xs, ys = [x for x, _ in pts], [y for _, y in pts]
-    out = [
-        [q for q in near[p] if (xs[q] - x) ** 2 + (ys[q] - y) ** 2 <= r2 and q != p]
-        for p, (x, y, r2) in enumerate(zip(xs, ys, radii2))
-    ]
+    out = in_balls(pts, [dist2(c, pts[receiver[p]]) for p, c in enumerate(pts)])
     counts = [1] * len(pts)
     for q in chain.from_iterable(out):
         counts[q] += 1

@@ -31,7 +31,7 @@ from functools import cached_property
 
 from .errors import CapExceededError, InputError, InvariantError
 from .model import ASYM2D, Instance2D, ReceiverAssignment, communication_graph_2d
-from .model import _reach, dist2, lattice, near_lists
+from .model import _reach, dist2, in_balls, lattice
 
 Vertex = tuple[int, int]
 
@@ -228,18 +228,14 @@ def geometry_violations(red: ReductionOutput) -> list[str]:
 
     eps2, tie, sat2 = e * e, (sp + e) ** 2, sp * sp
     index_of = red.index_of
-    to_main = [
-        dist2(pts[index_of(v, f"S{i}")], pts[index_of(v, "M")]) for v in red.vertices for i in (1, 2, 3)
+    # Each point's squared scan radius by role: epsilon for S' and I1..I4,
+    # just inside the tie for C and its distance to M for S; M and Ic scan nothing.
+    scan = {"M": -1, "Ic": -1, "C": tie - 1}
+    radii2 = [
+        dist2(p, pts[i - _ROLE_OFFSET[role]]) if role in ("S1", "S2", "S3") else scan.get(role, eps2)
+        for i, (p, role) in enumerate(zip(pts, red.role_of))
     ]
-    # The largest squared radius scanned below is eps2, the tie or a
-    # satellite's distance to its main point (which need not be the designed one).
-    near = near_lists(pts, max(eps2, tie, *to_main))
-    xs, ys = [x for x, _ in pts], [y for _, y in pts]
-
-    def has_near(i: int, limit: int, skip: tuple[int, ...]) -> bool:
-        """True iff a point outside `skip` lies within squared distance `limit` of point i."""
-        x, y = pts[i]
-        return any((xs[j] - x) ** 2 + (ys[j] - y) ** 2 <= limit for j in near[i] if j not in skip)
+    near = in_balls(pts, radii2)
 
     def l1(a: int, b: int) -> int:
         return abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
@@ -258,7 +254,7 @@ def geometry_violations(red: ReductionOutput) -> list[str]:
             d = dist2(pts[idx], pts[exp_idx])
             if d != eps2:
                 problems.append(f"{v}: {role} is not at the expected distance from {expected}")
-            elif has_near(idx, d, (idx, exp_idx)):
+            elif any(j != exp_idx for j in near[idx]):
                 problems.append(f"{v}: {role} has a neighbor nearer than {expected}")
 
         for i in (1, 2, 3):
@@ -272,16 +268,15 @@ def geometry_violations(red: ReductionOutput) -> list[str]:
             problems.append(f"{v}: connector-to-main distance is off")
         if dist2(pts[c_idx], pts[index_of(v, "I1")]) != tie:
             problems.append(f"{v}: connector-to-inhibitor distance is off")
-        if has_near(c_idx, tie - 1, (c_idx,)):
+        if near[c_idx]:
             problems.append(f"{v}: connector has a too-close neighbor")
 
         # Each satellite's nearest point outside its own station is the main point.
         for i in (1, 2, 3):
             s_idx = index_of(v, f"S{i}")
-            d_main = dist2(pts[s_idx], pts[m_idx])
-            if d_main != sat2:
+            if radii2[s_idx] != sat2:
                 problems.append(f"{v}: satellite {i} is not at the main-point distance")
-            if has_near(s_idx, d_main, (s_idx, index_of(v, f"S{i}p"), m_idx)):
+            if any(j not in (index_of(v, f"S{i}p"), m_idx) for j in near[s_idx]):
                 problems.append(f"{v}: satellite {i} has a non-main nearest neighbor")
 
     # Inhibitors of grid-adjacent and diagonal gadgets stay far apart.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from math import gcd
 
-from .errors import InputError
+from .errors import InputError, echo
 from .model import ASYM2D, SINKTREE1D, Instance, Instance1D, Instance2D, ReceiverAssignment
 
 
@@ -66,7 +66,7 @@ def parse_assignment(text: str) -> ReceiverAssignment:
         raise InputError("assignment file must start with `model <tag>`")
     model = rows[0][1]
     if model not in (ASYM2D, SINKTREE1D):
-        raise InputError(f"unknown model tag: {model!r}")
+        raise InputError(f"unknown model tag: {echo(model)}")
     sink = None
     body = rows[1:]
     if body and body[0][0] == "sink":
@@ -75,15 +75,22 @@ def parse_assignment(text: str) -> ReceiverAssignment:
         sink = _parse_index(body[0][1])
         body = body[1:]
     receiver: dict[int, int] = {}
-    for row in body:
-        if len(row) != 2:
-            raise InputError(f"malformed edge line: {' '.join(row)!r}")
-        p, q = row
-        p = int(p) if p.isdecimal() else _parse_index(p)
-        q = int(q) if q.isdecimal() else _parse_index(q)
-        if p in receiver:
-            raise InputError(f"point {p} has two receivers")
-        receiver[p] = q
+    try:
+        for row in body:
+            if len(row) != 2:
+                raise InputError(f"malformed edge line: {echo(' '.join(row))}")
+            p, q = row
+            p = int(p) if p.isdecimal() else _parse_index(p)
+            q = int(q) if q.isdecimal() else _parse_index(q)
+            if p in receiver:
+                raise InputError(f"point {p} has two receivers")
+            receiver[p] = q
+    except InputError:
+        raise
+    except ValueError:  # int() refused a decimal index of more digits than it reads
+        for tok in row:
+            _parse_index(tok)  # refuses that index as an InputError
+        raise
     return ReceiverAssignment(model=model, receiver=receiver, sink=sink)
 
 
@@ -91,9 +98,9 @@ def _parse_index(tok: str) -> int:
     try:
         value = int(tok)
     except ValueError as exc:
-        raise InputError(f"not an index: {tok!r}") from exc
+        raise InputError(f"not an index: {echo(tok)}") from exc
     if value < 0:
-        raise InputError(f"negative index: {value}")
+        raise InputError(f"negative index: {echo(tok)}")
     return value
 
 
@@ -118,7 +125,7 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
         try:
             vertices.append((int(row[0]), int(row[1])))
         except ValueError as exc:
-            raise InputError(f"not an integer pair: {' '.join(row)!r}") from exc
+            raise InputError(f"not an integer pair: {echo(' '.join(row))}") from exc
     if len(set(vertices)) != len(vertices):
         raise InputError("duplicate grid vertex")
     return vertices

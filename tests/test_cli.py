@@ -211,6 +211,41 @@ def test_unreadable_point_files_are_input_errors(tmp_path, content, message):
     assert max(len(line) for line in err.splitlines()) < 200  # a long token is echoed by its head
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"1" * 5000 + b" 0\n", "not an index: '" + "1" * 40 + "'... (5000 characters)"),
+        (b"1 x" + b"2" * 5000 + b"\n", "not an index: 'x" + "2" * 39 + "'... (5001 characters)"),
+        (b"1 -" + b"9" * 4000 + b"\n", "negative index: '-" + "9" * 39 + "'... (4001 characters)"),
+    ],
+    ids=["over-4300-digits", "long-token", "long-negative"],
+)
+def test_unreadable_assignment_files_are_input_errors(tmp_path, content, message):
+    (tmp_path / "line.txt").write_text("0\n1\n")
+    (tmp_path / "bad.assign").write_bytes(b"model sinktree1d\nsink 0\n" + content)
+    for predicate in ("valid", "interference"):
+        code, out, err = run_process("check", predicate, "line.txt", "bad.assign", cwd=tmp_path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert max(len(line) for line in err.splitlines()) < 200  # a long token is echoed by its head
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"0 0\n" + b"1" * 5000 + b" 0\n", "not an integer pair: '" + "1" * 40 + "'... (5002 characters)"),
+        (b"0 0\n0 " + b"x" * 5000 + b"\n", "not an integer pair: '0 " + "x" * 38 + "'... (5002 characters)"),
+    ],
+    ids=["over-4300-digits", "long-token"],
+)
+def test_unreadable_grid_files_are_input_errors(tmp_path, content, message):
+    (tmp_path / "bad.grid").write_bytes(content)
+    code, out, err = run_process("reduce", "bad.grid", cwd=tmp_path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert max(len(line) for line in err.splitlines()) < 200  # a long row is echoed by its head
+
+
 def test_exit_code_cap(tmp_path, capsys):
     inst = tmp_path / "p4.txt"
     run(capsys, "gen", "p", "4", "-o", str(inst))

@@ -12,7 +12,6 @@ from interfmin.dpsolve import (
     INFEASIBLE,
     DpStats,
     Range,
-    Subproblem,
     _best_root,
     _collect_edges,
     _Solver,
@@ -52,16 +51,16 @@ def escapes(solver, ball, lo, hi):
 def test_singleton_base_cases():
     inst = Instance1D.from_values([0, 1])
     # one outgoing range centered at the root: interference |incoming| + 1
-    value, _ = solve_key(inst, Subproblem(0, 0, 0, (), (Range(0, 1),)))
+    value, _ = solve_key(inst, (0, 0, 0, (), (Range(0, 1),)))
     assert value == 1
-    value, _ = solve_key(inst, Subproblem(0, 0, 0, (Range(1, 0),), (Range(0, 1),)))
+    value, _ = solve_key(inst, (0, 0, 0, (Range(1, 0),), (Range(0, 1),)))
     assert value == 2
     # empty outgoing set: infeasible away from the global level
-    value, _ = solve_key(inst, Subproblem(0, 0, 0, (), ()))
+    value, _ = solve_key(inst, (0, 0, 0, (), ()))
     assert value == INFEASIBLE
     # more than one range at the lone point: infeasible
     inst3 = Instance1D.from_values([0, 1, 2])
-    value, _ = solve_key(inst3, Subproblem(1, 1, 1, (), (Range(1, 0), Range(1, 2))))
+    value, _ = solve_key(inst3, (1, 1, 1, (), (Range(1, 0), Range(1, 2))))
     assert value == INFEASIBLE
 
 
@@ -76,7 +75,7 @@ def test_global_subproblem_trace():
     # Root at the right point: the lone left child carries the connecting
     # edge's range, and that ball also covers the root.
     inst = Instance1D.from_values([0, 1])
-    value, choice = solve_key(inst, Subproblem(0, 1, 1, (), ()))
+    value, choice = solve_key(inst, (0, 1, 1, (), ()))
     assert value == 1
     assert choice is not None
     left_key, right_key = choice
@@ -158,7 +157,7 @@ def unlimited_search(inst, bound):
     solver = _Solver(inst, bound)
     best, best_root = INFEASIBLE, None
     for root in range(n):
-        value = solver.solve(Subproblem(0, n - 1, root, (), ()))
+        value = solver.solve((0, n - 1, root, (), ()))
         if value < best:
             best, best_root = value, root
     if best_root is None:
@@ -199,7 +198,7 @@ def test_rising_limits_give_exact_values():
     bound = size_bound(inst.n)
     reference = _Solver(inst, bound)
     for root in range(inst.n):
-        reference.solve(Subproblem(0, inst.n - 1, root, (), ()))
+        reference.solve((0, inst.n - 1, root, (), ()))
     exact_memo = exact_entries(reference)
     keys = sorted(exact_memo, key=repr)[::7]
     assert any(exact_memo[k][0] == INFEASIBLE for k in keys)
@@ -207,7 +206,7 @@ def test_rising_limits_give_exact_values():
     for limit in (*range(1, inst.n), INFEASIBLE):
         for key in keys:
             exact = exact_memo[key]
-            got = solver.solve(Subproblem(*key), limit)
+            got = solver.solve(key, limit)
             if exact[0] <= limit:
                 assert (got, solver.memo[key][1]) == exact, (key, limit)
             else:
@@ -238,7 +237,7 @@ def test_extra_candidates_cover_the_root():
         for lo in range(n):
             for hi in range(lo, n):
                 for root in range(lo, hi + 1):
-                    sub = Subproblem(lo, hi, root, (), ())
+                    sub = (lo, hi, root, (), ())
                     for side_lo, side_hi in ((lo, root - 1), (root + 1, hi)):
                         if side_lo > side_hi:
                             continue
@@ -253,14 +252,15 @@ def full_side_options(solver, sub, lo, hi):
     """Every (child root, outgoing set) choice for the non-empty side [lo, hi],
     built the way the DP built its whole list before it generated options by
     root coverage."""
-    inherited = [r for r in sub.outgoing if lo <= r.center <= hi]
+    sub_lo, sub_hi, root, _, outgoing = sub
+    inherited = [r for r in outgoing if lo <= r.center <= hi]
     candidates = solver._extra_candidates(sub, lo, hi)
     options = []
     for child_root in range(lo, hi + 1):
-        if any(r.center == child_root and r.boundary != sub.root for r in inherited):
+        if any(r.center == child_root and r.boundary != root for r in inherited):
             continue
-        edge = Range(child_root, sub.root)
-        if edge not in inherited and escapes(solver, edge, sub.lo, sub.hi):
+        edge = Range(child_root, root)
+        if edge not in inherited and escapes(solver, edge, sub_lo, sub_hi):
             continue
         base = set(inherited)
         base.add(edge)
@@ -294,23 +294,23 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
         bound = size_bound(n)
         reference = _Solver(inst, bound)
         for root in range(n):
-            reference.solve(Subproblem(0, n - 1, root, (), ()))
+            reference.solve((0, n - 1, root, (), ()))
         for key in sorted(exact_entries(reference), key=repr)[::2]:
-            sub = Subproblem(*key)
-            for lo, hi in ((sub.lo, sub.root - 1), (sub.root + 1, sub.hi)):
+            key_lo, key_hi, root = key[:3]
+            for lo, hi in ((key_lo, root - 1), (root + 1, key_hi)):
                 if lo > hi:
                     continue
-                full = full_side_options(reference, sub, lo, hi)
-                coverage = {opt: sum(1 for r in opt[1] if covers(reference, r, sub.root)) for opt in full}
+                full = full_side_options(reference, key, lo, hi)
+                coverage = {opt: sum(1 for r in opt[1] if covers(reference, r, root)) for opt in full}
                 assert len(coverage) == len(full)
-                options, more = read_side_options(_Solver(inst, bound), sub, lo, hi, INFEASIBLE)
+                options, more = read_side_options(_Solver(inst, bound), key, lo, hi, INFEASIBLE)
                 assert not more
                 assert len(options) == len(full)
                 assert {(r, out): cov for r, out, cov, _ in options} == coverage, (inst.points, key)
                 assert [cov for _, _, cov, _ in options] == sorted(coverage.values())
                 # each option carries the floor of its child key without incoming ranges
                 for r, out, _, floor in options:
-                    assert floor == reference_floor(reference, Subproblem(lo, hi, r, (), out)), (key, r, out)
+                    assert floor == reference_floor(reference, (lo, hi, r, (), out)), (key, r, out)
                 # child roots ascend within each coverage level
                 levels = [(cov, r) for r, _, cov, _ in options]
                 assert levels == sorted(levels), (inst.points, key)
@@ -320,7 +320,7 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
                     want = {opt for opt, cov in coverage.items() if cov <= budget}
                     fresh = _Solver(inst, bound)
                     for solver in (fresh, growing):
-                        options, more = read_side_options(solver, sub, lo, hi, budget)
+                        options, more = read_side_options(solver, key, lo, hi, budget)
                         assert len(options) == len(want)
                         assert {(r, out) for r, out, _, _ in options} == want, (key, budget)
                         assert more == any(cov > budget for cov in coverage.values())
@@ -408,9 +408,10 @@ def reference_floor(solver, sub):
     """The coverage floor point by point: the key's incoming and outgoing
     ranges plus the least ball of every point that is neither the root nor an
     outgoing range's center, counted on a fresh difference array."""
-    lo, hi, x = sub.lo, sub.hi, solver.instance.ints
-    spans = [solver.cover[r.center][r.boundary] for r in (*sub.incoming, *sub.outgoing)]
-    owners = {r.center for r in sub.outgoing} | {sub.root}
+    lo, hi, root, incoming, outgoing = sub
+    x = solver.instance.ints
+    spans = [solver.cover[r.center][r.boundary] for r in (*incoming, *outgoing)]
+    owners = {r.center for r in outgoing} | {root}
     for p in range(lo, hi + 1):
         if p not in owners:
             q = p + 1 if p == lo or (p < hi and x[p + 1] - x[p] < x[p] - x[p - 1]) else p - 1
@@ -437,10 +438,10 @@ def test_coverage_floor_is_a_lower_bound():
         inst = Instance1D.from_values(rng.sample(range(0, coord_max + 1), n))
         solver = _Solver(inst, size_bound(n))
         for root in range(n):
-            solver.solve(Subproblem(0, n - 1, root, (), ()))
+            solver.solve((0, n - 1, root, (), ()))
         for key, (value, _) in exact_entries(solver).items():
-            floor = solver.floor(Subproblem(*key))
-            assert floor == reference_floor(solver, Subproblem(*key)), (inst.points, key)
+            floor = solver.floor(key)
+            assert floor == reference_floor(solver, key), (inst.points, key)
             assert floor <= value, (inst.points, key)
             keys += 1
             tight += floor == value and key[0] < key[1]
@@ -449,8 +450,7 @@ def test_coverage_floor_is_a_lower_bound():
             if _best_root(deepening, limit) is not None:
                 break
         for key, (_, choice) in deepening.memo.items():
-            sub = Subproblem(*key)
-            assert deepening.floor(sub) == reference_floor(deepening, sub), (inst.points, key)
+            assert deepening.floor(key) == reference_floor(deepening, key), (inst.points, key)
             cut += choice is _BOUND
         cut += deepening.stats.gated_pairs
     assert keys > 4000 and tight > 1000 and cut > 1000

@@ -695,8 +695,8 @@ def test_every_check_of_a_ladder_reduction_builds_one_cell_index(monkeypatch):
     red = reduce_grid(grid, run_checks=False)
     a = assignment_from_ham_path(red, path)
     builds = []
-    near_lists = model.near_lists
-    monkeypatch.setattr(model, "near_lists", lambda pts, reach2: builds.append(reach2) or near_lists(pts, reach2))
+    in_balls = model.in_balls
+    monkeypatch.setattr(model, "in_balls", lambda pts, radii2: builds.append(radii2) or in_balls(pts, radii2))
     assert is_valid(red.instance, a) and interference(red.instance, a) == 5
     assert extract_connection_structure(red, a) == sorted(tuple(sorted(e)) for e in zip(path, path[1:]))
     assert len(builds) == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interfmin.errors import InputError
+from interfmin.errors import InputError, echo
 from interfmin.model import ASYM2D, SINKTREE1D, Instance1D, Instance2D, ReceiverAssignment
 from interfmin.textio import (
     _content_lines,
@@ -111,7 +111,7 @@ def old_parse_assignment(text):
         raise InputError("assignment file must start with `model <tag>`")
     model = rows[0][1]
     if model not in (ASYM2D, SINKTREE1D):
-        raise InputError(f"unknown model tag: {model!r}")
+        raise InputError(f"unknown model tag: {echo(model)}")
     sink = None
     body = rows[1:]
     if body and body[0][0] == "sink":
@@ -122,7 +122,7 @@ def old_parse_assignment(text):
     receiver = {}
     for row in body:
         if len(row) != 2:
-            raise InputError(f"malformed edge line: {' '.join(row)!r}")
+            raise InputError(f"malformed edge line: {echo(' '.join(row))}")
         p, q = _parse_index(row[0]), _parse_index(row[1])
         if p in receiver:
             raise InputError(f"point {p} has two receivers")
@@ -178,6 +178,8 @@ ASSIGNMENT_TEXTS = [
     "model sinktree1d\n1 0\n",
     "model asym2d\nsink 0\n1 0\n",
     "model asym2d\n0 1\n1 2\n2 0\n",
+    "model sinktree1d\nsink 0\n" + "1" * 4301 + " 0\n",
+    "model sinktree1d\nsink 0\n1 " + "2" * 5000 + "\n",
 ]
 
 
