@@ -19,7 +19,10 @@ class InvariantError(AssertionError):
 
 
 def echo(value) -> str:
-    """repr(value) for a message; a string over 40 characters is echoed by its head and its length."""
+    """repr(value) for a message; a string or an int over 40 characters is echoed by its head and its length."""
+    if type(value) is int:
+        text = str(value)
+        return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
     if type(value) is str and len(value) > 40:
         return f"{value[:40]!r}... ({len(value)} characters)"
     return repr(value)

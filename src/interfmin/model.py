@@ -164,7 +164,7 @@ class ReceiverAssignment:
             raise InputError(f"unknown model tag: {self.model!r}")
         for p, q in self.receiver.items():
             if p == q:
-                raise InputError(f"point {p} may not be its own receiver")
+                raise InputError(f"point {echo(p)} may not be its own receiver")
         if self.model == ASYM2D and self.sink is not None:
             raise InputError("asym2d assignments have no sink")
         if self.model == SINKTREE1D and self.sink is None:
@@ -175,7 +175,7 @@ class ReceiverAssignment:
         n = instance.n
         for p, q in self.receiver.items():
             if not (0 <= p < n and 0 <= q < n):
-                raise InputError(f"edge ({p}, {q}) references a missing point")
+                raise InputError(f"edge ({echo(p)}, {echo(q)}) references a missing point")
         if self.model == ASYM2D:
             if not isinstance(instance, Instance2D):
                 raise InputError("asym2d assignment on a non-2D instance")
@@ -185,7 +185,7 @@ class ReceiverAssignment:
             if not isinstance(instance, Instance1D):
                 raise InputError("sinktree1d assignment on a non-1D instance")
             if not 0 <= self.sink < n:
-                raise InputError(f"sink {self.sink} references a missing point")
+                raise InputError(f"sink {echo(self.sink)} references a missing point")
             if self.sink in self.receiver:
                 raise InputError("the sink may not have a receiver")
             if len(self.receiver) != n - 1:

@@ -6,27 +6,52 @@ header `model asym2d|sinktree1d`, an optional `sink <index>` line, then one
 `<from-index> <to-index>` line per edge.  Indices are 0-based positions in the
 sorted coordinate order (1D) or file order (2D).  Grid-graph file: one `x y`
 integer pair per line; edges are implicit between L1-distance-1 pairs.
+
+The files the 1D solve path writes are read whole: a point file of one integer
+per line (a 1D instance at scale 1) by one `int()` per line and one sort, and
+the edge lines of an assignment file by cutting each once at its space and
+reading both columns with `int()`.  Any other text (comments, blank lines,
+`a/b` or 2D lines, tabs, a `-` or `_` anywhere, a repeated index, a token
+`int()` refuses) goes to the line-by-line parser, which gives the same
+results and names the first error.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import repeat
 from math import gcd
+from typing import Iterable, Iterator
 
 from .errors import InputError, echo
 from .model import ASYM2D, SINKTREE1D, Instance, Instance1D, Instance2D, ReceiverAssignment
 
 
-def _content_lines(text: str) -> list[list[str]]:
-    lines = text.splitlines()
+def _rows(text: str, lines: Iterable[str]) -> Iterator[list[str]]:
+    """The non-empty lines of `text`, given as `lines`, each split on whitespace
+    after any `#` comment is cut off; lazy, so `lines` is read only as far as
+    the rows taken."""
     if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    return [row for row in map(str.split, lines) if row]
+        lines = (line.split("#", 1)[0] for line in lines)
+    return filter(None, map(str.split, lines))
+
+
+def _content_lines(text: str) -> list[list[str]]:
+    return list(_rows(text, text.splitlines()))
 
 
 def parse_points(text: str) -> Instance:
     """Parse a point file; the token count per line decides 1D vs 2D."""
-    rows = _content_lines(text)
+    lines = text.splitlines()
+    ints = None
+    if "_" not in text:  # int() reads `1_0` on every version, Fraction only from 3.11
+        try:  # a file of one integer per line, as format_points writes a 1D instance at scale 1
+            ints = sorted(map(int, lines))
+        except ValueError:
+            pass
+    if ints:
+        return Instance1D(tuple(ints), 1)
+    rows = list(_rows(text, lines))
     if not rows:
         raise InputError("point file contains no points")
     width = len(rows[0])
@@ -59,39 +84,52 @@ def format_points(instance: Instance) -> str:
 
 
 def parse_assignment(text: str) -> ReceiverAssignment:
-    rows = _content_lines(text)
-    if not rows:
+    lines = iter(text.splitlines())
+    rows = _rows(text, lines)  # takes from `lines` only the lines up to each row it yields
+    header = next(rows, None)
+    if header is None:
         raise InputError("assignment file is empty")
-    if rows[0][0] != "model" or len(rows[0]) != 2:
+    if header[0] != "model" or len(header) != 2:
         raise InputError("assignment file must start with `model <tag>`")
-    model = rows[0][1]
+    model = header[1]
     if model not in (ASYM2D, SINKTREE1D):
         raise InputError(f"unknown model tag: {echo(model)}")
     sink = None
-    body = rows[1:]
-    if body and body[0][0] == "sink":
-        if len(body[0]) != 2:
+    row = next(rows, None)
+    body = list(lines)
+    if row and row[0] == "sink":
+        if len(row) != 2:
             raise InputError("malformed sink line")
-        sink = _parse_index(body[0][1])
-        body = body[1:]
-    receiver: dict[int, int] = {}
-    try:
-        for row in body:
-            if len(row) != 2:
-                raise InputError(f"malformed edge line: {echo(' '.join(row))}")
-            p, q = row
-            p = int(p) if p.isdecimal() else _parse_index(p)
-            q = int(q) if q.isdecimal() else _parse_index(q)
-            if p in receiver:
-                raise InputError(f"point {p} has two receivers")
-            receiver[p] = q
-    except InputError:
-        raise
-    except ValueError:  # int() refused a decimal index of more digits than it reads
-        for tok in row:
-            _parse_index(tok)  # refuses that index as an InputError
-        raise
+        sink = _parse_index(row[1])
+    elif row:
+        body.insert(0, " ".join(row))
+    receiver = _read_edges(body)
+    if receiver is None or "-" in text:  # format_assignment writes no `-`
+        receiver = _edge_rows(_rows(text, body))
     return ReceiverAssignment(model=model, receiver=receiver, sink=sink)
+
+
+def _read_edges(lines: list[str]) -> dict[int, int] | None:
+    """The edges of `<from> <to>` lines, each cut once at a space as format_assignment
+    writes it; None when a line does not read so or a point has two receivers."""
+    try:
+        sources, _, targets = zip(*map(str.partition, lines, repeat(" ")))
+        receiver = dict(zip(map(int, sources), map(int, targets)))
+    except ValueError:
+        return None
+    return receiver if len(receiver) == len(lines) else None
+
+
+def _edge_rows(rows: Iterable[list[str]]) -> dict[int, int]:
+    receiver: dict[int, int] = {}
+    for row in rows:
+        if len(row) != 2:
+            raise InputError(f"malformed edge line: {echo(' '.join(row))}")
+        p, q = _parse_index(row[0]), _parse_index(row[1])
+        if p in receiver:
+            raise InputError(f"point {echo(p)} has two receivers")
+        receiver[p] = q
+    return receiver
 
 
 def _parse_index(tok: str) -> int:

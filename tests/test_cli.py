@@ -211,18 +211,33 @@ def test_unreadable_point_files_are_input_errors(tmp_path, content, message):
     assert max(len(line) for line in err.splitlines()) < 200  # a long token is echoed by its head
 
 
+HEAD = b"model sinktree1d\nsink 0\n"
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
-        (b"1" * 5000 + b" 0\n", "not an index: '" + "1" * 40 + "'... (5000 characters)"),
-        (b"1 x" + b"2" * 5000 + b"\n", "not an index: 'x" + "2" * 39 + "'... (5001 characters)"),
-        (b"1 -" + b"9" * 4000 + b"\n", "negative index: '-" + "9" * 39 + "'... (4001 characters)"),
+        (HEAD + b"1" * 5000 + b" 0\n", "not an index: '" + "1" * 40 + "'... (5000 characters)"),
+        (HEAD + b"1 x" + b"2" * 5000 + b"\n", "not an index: 'x" + "2" * 39 + "'... (5001 characters)"),
+        (HEAD + b"1 -" + b"9" * 4000 + b"\n", "negative index: '-" + "9" * 39 + "'... (4001 characters)"),
+        (HEAD + b"1 " + b"2" * 4000 + b"\n", "edge (1, " + "2" * 40 + "... (4000 characters)) references a missing"),
+        (b"model sinktree1d\nsink " + b"3" * 4000 + b"\n1 0\n", "sink " + "3" * 40 + "... (4000 characters) references"),
+        (HEAD + (b"4" * 4000 + b" 1\n") * 2, "point " + "4" * 40 + "... (4000 characters) has two receivers"),
+        (HEAD + b"5" * 4000 + b" " + b"5" * 4000 + b"\n", "point " + "5" * 40 + "... (4000 characters) may not be its own"),
     ],
-    ids=["over-4300-digits", "long-token", "long-negative"],
+    ids=[
+        "over-4300-digits",
+        "long-token",
+        "long-negative",
+        "edge-out-of-range",
+        "sink-out-of-range",
+        "two-receivers",
+        "own-receiver",
+    ],
 )
 def test_unreadable_assignment_files_are_input_errors(tmp_path, content, message):
     (tmp_path / "line.txt").write_text("0\n1\n")
-    (tmp_path / "bad.assign").write_bytes(b"model sinktree1d\nsink 0\n" + content)
+    (tmp_path / "bad.assign").write_bytes(content)
     for predicate in ("valid", "interference"):
         code, out, err = run_process("check", predicate, "line.txt", "bad.assign", cwd=tmp_path)
         assert (code, out) == (1, "")

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interfmin import textio
 from interfmin.errors import InputError, echo
+from interfmin.families import gen_log_lower, random_instance_1d
 from interfmin.model import ASYM2D, SINKTREE1D, Instance1D, Instance2D, ReceiverAssignment
+from interfmin.nna import nna
 from interfmin.textio import (
     _content_lines,
     _parse_index,
@@ -144,6 +147,7 @@ POINT_TEXTS = [
     "0\r\n1\r\n-2\r\n",
     "0\x0c1\u20282\x853\x1c4\n",
     "\t+1 \n-0\n1_0\n٣\n",
+    "1_0\n2\n",
     "1#2\n3 # 4 5\n#\n",
     "1\n2 3\n",
     "0 0\n1 0\r\n0 1 # corner\n",
@@ -153,6 +157,13 @@ POINT_TEXTS = [
     "1/0\n",
     "1e3\n",
     "0\n" + "1" * 4301 + "\n",
+    "12\n-3\n0\n7\n",
+    "12\n-3\n\n0\n7\n",
+    "12\n-3 # c\n0\n7\n",
+    "12\n-3\r\n0\n7\n",
+    "12 \n-3  \n0\t\n7\n",
+    "12\n-3\n12\n",
+    "12\n-3\n" + "4" * 4301 + "\n",
 ]
 
 ASSIGNMENT_TEXTS = [
@@ -180,6 +191,21 @@ ASSIGNMENT_TEXTS = [
     "model asym2d\n0 1\n1 2\n2 0\n",
     "model sinktree1d\nsink 0\n" + "1" * 4301 + " 0\n",
     "model sinktree1d\nsink 0\n1 " + "2" * 5000 + "\n",
+    "model sinktree1d\nsink 1\n0 1\n2 1\n3 2\n",
+    "model sinktree1d\nsink 1\n0 1\n\n2 1\n3 2\n",
+    "model sinktree1d\nsink 1\n0 1\n2 1 # c\n3 2\n",
+    "# c\nmodel sinktree1d\nsink 1\n0 1\n2 1\n3 2\n",
+    "model sinktree1d\nsink 1\n0 1\r\n2 1\n3 2\n",
+    "model sinktree1d\nsink 1\n0 1 \n2  1\n3 2  \n",
+    "model sinktree1d\nsink 1\n0 1\n2\t1\n3 2\n",
+    "model sinktree1d\nsink 1\n0 1\n2 1\n+2 1\n",
+    "model sinktree1d\nsink 1\n-0 +1\n2 1_0\n",
+    "model sinktree1d\nsink 1\n0 1\n2 -1\n",
+    "model sinktree1d\nsink 0 1\n1 0\n",
+    "model sinktree1d\nsink 0\n",
+    "model asym2d\n0 1\n1 0\n",
+    "model asym2d\n0 1\n1 0 2\n",
+    "model sinktree1d\nsink 1\n0 1\n2 " + "3" * 4301 + "\n",
 ]
 
 
@@ -255,3 +281,27 @@ def test_format_points_writes_fractions_and_round_trips(nums, den):
     text2 = format_points(inst2)
     assert text2 == "".join(f"{x} {y}\n" for x, y in inst2.points)
     assert parse_points(text2) == inst2
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [random_instance_1d(4000, 3, 10**6), gen_log_lower(700).instance, Instance1D((5,), 1)],
+    ids=["random", "loglower", "one-point"],
+)
+def test_written_1d_files_are_read_whole(monkeypatch, instance):
+    """A 1D point file at scale 1 and a written assignment reach the line-by-line
+    parser for nothing but the assignment's header and sink lines."""
+    split_rows = textio._rows
+    taken = []
+
+    def counted_rows(text, lines):
+        for row in split_rows(text, lines):
+            taken.append(row)
+            yield row
+
+    monkeypatch.setattr(textio, "_rows", counted_rows)
+    witness = nna(instance)
+    assert parse_points(format_points(instance)) == instance
+    assert taken == []
+    assert parse_assignment(format_assignment(witness)) == witness
+    assert taken == [["model", SINKTREE1D], ["sink", str(witness.sink)]]
