@@ -41,8 +41,9 @@ SINKTREE1D = "sinktree1d"
 
 def _ratio(value) -> tuple[int, int]:
     """An int, a Fraction or a token as (numerator, denominator) in lowest terms;
-    tokens 'a' and 'a/b' of digits (a may have a '-') skip Fraction.  Exponent
-    notation is refused: its parse time grows with the exponent."""
+    tokens 'a' and 'a/b' of digits (a may have a '-') skip Fraction.  Refused:
+    exponent notation (its parse time grows with the exponent) and '_' (which
+    Fraction reads only from Python 3.11)."""
     try:
         if type(value) is str:
             if value.isdecimal():
@@ -52,8 +53,8 @@ def _ratio(value) -> tuple[int, int]:
                 a, b = int(num), int(den) if slash else 1
                 g = gcd(a, b) if b else 0  # a zero denominator raises in a // g
                 return a // g, b // g
-            if "e" in value or "E" in value:
-                raise ValueError("exponent notation")
+            if "e" in value or "E" in value or "_" in value:
+                raise ValueError("exponent notation or '_'")
         q = value if isinstance(value, Rational) else Fraction(value)
         return q.numerator, q.denominator
     except (ValueError, ZeroDivisionError, TypeError) as exc:

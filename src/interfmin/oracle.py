@@ -8,7 +8,10 @@ in-tree rooted there; 2D: every receiver map) under a limit L deepened from a
 coverage floor.  Each open point will own at least its least ball, the one
 reaching its nearest neighbour (the 1D sink owns none); a branch is cut once
 its chosen balls plus the open points' least balls cover a point more than L
-times.  So the first pass that accepts an assignment (1D: any sink tree; 2D: a
+times.  A branch is also cut once its choices close off a proper set of points
+that no later choice can leave (1D: a cycle; 2D: a set that the chosen points'
+edges never lead out of), so every 2D leaf reached is strongly connected.
+So the first pass that accepts an assignment (1D: any sink tree; 2D: a
 strongly connected one) is at the optimum, and the first it accepts is the
 witness.
 """
@@ -44,7 +47,7 @@ class OracleResult:
 @dataclass
 class OracleStats:
     passes: int = 0  # limits tried
-    leaves: int = 0  # 1D: trees reached; 2D: strong-connectivity tests
+    leaves: int = 0  # assignments reached; every 2D one is strongly connected
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -87,10 +90,11 @@ def _ball_table(instance: Instance):
     return balls, least, extra, starts
 
 
-def _search(tables, accept, first: bool, stats: OracleStats):
+def _search(tables, cuts, accept, first: bool, stats: OracleStats):
     """Deepen the limit from the floor until a pass accepts a leaf; return
     the assignments that pass accepted (only the first if `first`) and its
-    limit.  accept(parent, root) is a leaf's assignment, or None to reject it."""
+    limit.  cuts(parent, p, q) is true if no accepted leaf follows N(p) = q;
+    accept(parent, root) is a leaf's assignment, or None to reject it."""
     extra, starts = tables[2:]
     parent: list[int | None] = [None] * len(extra)
     found: list[ReceiverAssignment] = []
@@ -107,13 +111,13 @@ def _search(tables, accept, first: bool, stats: OracleStats):
         stats.passes += 1
         for root, counts in starts:
             top = max(counts)
-            if top <= limit and _descend(extra, counts, parent, root, 0, top, limit, leaf) < 0:
+            if top <= limit and _descend(extra, cuts, counts, parent, root, 0, top, limit, leaf) < 0:
                 break
         if found:
             return found, limit
 
 
-def _descend(extra, counts, parent, root, p, cur_max, limit, leaf) -> int:
+def _descend(extra, cuts, counts, parent, root, p, cur_max, limit, leaf) -> int:
     # A module-level function rather than a recursive closure: a closure that
     # refers to itself sits in a reference cycle, which would keep its tables
     # and every assignment it collected alive until the garbage collector runs.
@@ -124,7 +128,7 @@ def _descend(extra, counts, parent, root, p, cur_max, limit, leaf) -> int:
     if p == len(extra):
         return -1 if leaf(root) else limit
     for q, more in enumerate(extra[p]):
-        if q == p or root is not None and _would_cycle(parent, p, q):
+        if q == p or cuts(parent, p, q):
             continue
         new_max = cur_max
         for j in more:
@@ -133,10 +137,10 @@ def _descend(extra, counts, parent, root, p, cur_max, limit, leaf) -> int:
                 new_max = counts[j]
         if new_max <= limit:
             parent[p] = q
-            limit = _descend(extra, counts, parent, root, p + 1, new_max, limit, leaf)
+            limit = _descend(extra, cuts, counts, parent, root, p + 1, new_max, limit, leaf)
         for j in more:
             counts[j] -= 1
-    # One reset serves every q: _would_cycle's walk from q stops at p.
+    # One reset serves every q: neither branch test reads parent[p].
     parent[p] = None
     return limit
 
@@ -151,7 +155,7 @@ def brute_force_1d(
     """Minimum interference over all valid sink-tree assignments, with one
     minimizer as witness (the first in deterministic search order)."""
     _check_cap(instance.n, cap, "1D brute force")
-    trees, optimum = _search(_ball_table(instance), _sink_tree, True, stats or OracleStats())
+    trees, optimum = _search(_ball_table(instance), _would_cycle, _sink_tree, True, stats or OracleStats())
     return OracleResult(optimum, trees[0])
 
 
@@ -160,7 +164,7 @@ def enumerate_optimal_1d(
 ) -> list[ReceiverAssignment]:
     """Every valid assignment attaining the optimum interference, in search order."""
     _check_cap(instance.n, cap, "1D optimal enumeration")
-    return _search(_ball_table(instance), _sink_tree, False, OracleStats())[0]
+    return _search(_ball_table(instance), _would_cycle, _sink_tree, False, OracleStats())[0]
 
 
 def brute_force_2d(
@@ -172,8 +176,26 @@ def brute_force_2d(
         raise InputError("2D brute force needs at least two points")
     _check_cap(instance.n, cap, "2D brute force")
     tables = _ball_table(instance)
-    # out[p][q]: the edges from p if N(p) = q.
+    # out[p][q]: the edges from p if N(p) = q; bits[p][q]: the same as a bit set.
     out = [[tuple(j for j in b if j != p) for b in row] for p, row in enumerate(tables[0])]
+    bits = [[sum(1 << j for j in e) for e in row] for row in out]
+    everyone = (1 << instance.n) - 1
+
+    def closes(parent: list[int], p: int, q: int) -> bool:
+        # With N(p) = q, walk the edges from p over the chosen points (0..p).
+        # If it meets no open point, no later choice adds an edge out of the
+        # set walked: no leaf below is strongly connected unless that is all.
+        chosen = (2 << p) - 1
+        reached = 1 << p
+        todo = bits[p][q]
+        while todo:
+            if todo > chosen:  # an open point is reached
+                return False
+            low = todo & -todo
+            reached |= low
+            j = low.bit_length() - 1
+            todo = (todo | bits[j][parent[j]]) & ~reached
+        return reached != everyone
 
     def connected(parent: list[int], root: None) -> ReceiverAssignment | None:
         # out[p][parent[p]] for every p, built without a Python-level loop.
@@ -181,5 +203,5 @@ def brute_force_2d(
             return ReceiverAssignment(ASYM2D, dict(enumerate(parent)))
         return None
 
-    found, optimum = _search(tables, connected, True, stats or OracleStats())
+    found, optimum = _search(tables, closes, connected, True, stats or OracleStats())
     return OracleResult(optimum, found[0])

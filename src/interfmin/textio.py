@@ -44,7 +44,7 @@ def parse_points(text: str) -> Instance:
     """Parse a point file; the token count per line decides 1D vs 2D."""
     lines = text.splitlines()
     ints = None
-    if "_" not in text:  # int() reads `1_0` on every version, Fraction only from 3.11
+    if "_" not in text:  # int() reads `1_0`, which the point grammar refuses
         try:  # a file of one integer per line, as format_points writes a 1D instance at scale 1
             ints = sorted(map(int, lines))
         except ValueError:

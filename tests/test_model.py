@@ -716,10 +716,11 @@ RATIONAL_TOKENS = [
 
 def rational_reference(token: str):
     """Fraction(token), or the InputError message the lattice parse gives
-    when Fraction refuses the token or the token uses exponent notation."""
+    when Fraction refuses the token or the token uses exponent notation or
+    '_' (which Fraction reads only from Python 3.11)."""
     try:
-        if "e" in token or "E" in token:
-            raise ValueError("exponent notation")
+        if "e" in token or "E" in token or "_" in token:
+            raise ValueError("exponent notation or '_'")
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"

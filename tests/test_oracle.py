@@ -22,6 +22,7 @@ from interfmin.model import (
 from interfmin.oracle import (
     DEFAULT_CAP_1D,
     DEFAULT_CAP_2D,
+    OracleStats,
     _ball_table,
     brute_force_1d,
     brute_force_2d,
@@ -334,6 +335,20 @@ def test_matches_rejection_2d(coord_max):
         for seed in range(1, 4 if n < 6 else 5):
             inst = random_points_2d(n, seed, coord_max)
             assert brute_force_2d(inst).optimum == rejection_optimum_2d(inst), (n, seed)
+
+
+@pytest.mark.parametrize("coord_max", [100, 4])
+def test_every_2d_leaf_reached_is_accepted(coord_max):
+    # A branch is cut once its choices close off a proper set of points, so
+    # the one leaf a solve reaches is its witness.
+    for n in range(2, 9):
+        for seed in range(1, 7):
+            inst = random_points_2d(n, seed, coord_max)
+            stats = OracleStats()
+            res = brute_force_2d(inst, stats=stats)
+            assert stats.leaves == 1, (n, seed)
+            assert is_valid(inst, res.witness), (n, seed)
+            assert interference(inst, res.witness) == res.optimum, (n, seed)
 
 
 def test_bst_existence_small():
