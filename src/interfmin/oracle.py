@@ -8,9 +8,9 @@ in-tree rooted there; 2D: every receiver map) under a limit L deepened from a
 coverage floor.  Each open point will own at least its least ball, the one
 reaching its nearest neighbour (the 1D sink owns none); a branch is cut once
 its chosen balls plus the open points' least balls cover a point more than L
-times.  A branch is also cut once its choices close off a proper set of points
-that no later choice can leave (1D: a cycle; 2D: a set that the chosen points'
-edges never lead out of), so every 2D leaf reached is strongly connected.
+times (one AND with the points at L, tested first) or its choices close off a
+proper set of points that no later choice can leave (1D: a cycle; 2D: a set
+no chosen edge leads out of), so every 2D leaf reached is strongly connected.
 So the first pass that accepts an assignment (1D: any sink tree; 2D: a
 strongly connected one) is at the optimum, and the first it accepts is the
 witness.
@@ -35,7 +35,7 @@ from .model import (
 )
 
 DEFAULT_CAP_1D = 11
-DEFAULT_CAP_2D = 9
+DEFAULT_CAP_2D = 13
 
 
 @dataclass
@@ -96,6 +96,7 @@ def _search(tables, cuts, accept, first: bool, stats: OracleStats):
     limit.  cuts(parent, p, q) is true if no accepted leaf follows N(p) = q;
     accept(parent, root) is a leaf's assignment, or None to reject it."""
     extra, starts = tables[2:]
+    bits = [[sum(1 << j for j in e) for e in row] for row in extra]
     parent: list[int | None] = [None] * len(extra)
     found: list[ReceiverAssignment] = []
 
@@ -110,43 +111,48 @@ def _search(tables, cuts, accept, first: bool, stats: OracleStats):
     for limit in count(min(max(counts) for _, counts in starts)):
         stats.passes += 1
         for root, counts in starts:
-            top = max(counts)
-            if top <= limit and _descend(extra, cuts, counts, parent, root, 0, top, limit, leaf) < 0:
+            full = sum(1 << j for j, c in enumerate(counts) if c == limit)
+            if max(counts) <= limit and _descend(extra, bits, cuts, counts, full, parent, root, 0, limit, leaf) < 0:
                 break
         if found:
             return found, limit
 
 
-def _descend(extra, cuts, counts, parent, root, p, cur_max, limit, leaf) -> int:
+def _descend(extra, bits, cuts, counts, full, parent, root, p, limit, leaf) -> int:
     # A module-level function rather than a recursive closure: a closure that
     # refers to itself sits in a reference cycle, which would keep its tables
     # and every assignment it collected alive until the garbage collector runs.
-    # Entered only within the limit (cur_max <= limit); returns the limit, or
-    # -1 once `leaf` asks to stop, after which no branch is entered.
+    # Counts stay within the limit; `full` holds the points at it and bits[p][q]
+    # is extra[p][q] as a bit set, so one AND, before the branch test, rejects a
+    # choice that would exceed it.  Returns the limit, or -1 once `leaf` stops.
     if p == root:  # the 1D root keeps no receiver
         p += 1
     if p == len(extra):
         return -1 if leaf(root) else limit
-    for q, more in enumerate(extra[p]):
-        if q == p or cuts(parent, p, q):
+    for q, mask in enumerate(bits[p]):
+        if q == p or mask & full or cuts(parent, p, q):
             continue
-        new_max = cur_max
+        reached = full
+        more = extra[p][q]
         for j in more:
             counts[j] += 1
-            if counts[j] > new_max:
-                new_max = counts[j]
-        if new_max <= limit:
-            parent[p] = q
-            limit = _descend(extra, cuts, counts, parent, root, p + 1, new_max, limit, leaf)
+            if counts[j] == limit:
+                reached |= 1 << j
+        parent[p] = q
+        limit = _descend(extra, bits, cuts, counts, reached, parent, root, p + 1, limit, leaf)
         for j in more:
             counts[j] -= 1
+        if limit < 0:
+            break
     # One reset serves every q: neither branch test reads parent[p].
     parent[p] = None
     return limit
 
 
 def _sink_tree(parent: list[int | None], root: int) -> ReceiverAssignment:
-    return ReceiverAssignment(SINKTREE1D, {p: q for p, q in enumerate(parent) if p != root}, root)
+    receiver = dict(enumerate(parent))
+    del receiver[root]
+    return ReceiverAssignment(SINKTREE1D, receiver, root)
 
 
 def brute_force_1d(

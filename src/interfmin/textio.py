@@ -104,7 +104,7 @@ def parse_assignment(text: str) -> ReceiverAssignment:
     elif row:
         body.insert(0, " ".join(row))
     receiver = _read_edges(body)
-    if receiver is None or "-" in text:  # format_assignment writes no `-`
+    if receiver is None or "-" in text or "_" in text:  # format_assignment writes neither
         receiver = _edge_rows(_rows(text, body))
     return ReceiverAssignment(model=model, receiver=receiver, sink=sink)
 
@@ -134,6 +134,8 @@ def _edge_rows(rows: Iterable[list[str]]) -> dict[int, int]:
 
 def _parse_index(tok: str) -> int:
     try:
+        if "_" in tok:  # int() reads `1_0`, which the index grammar refuses
+            raise ValueError(tok)
         value = int(tok)
     except ValueError as exc:
         raise InputError(f"not an index: {echo(tok)}") from exc
@@ -161,6 +163,8 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
         if len(row) != 2:
             raise InputError("grid vertices are `x y` integer pairs")
         try:
+            if "_" in row[0] + row[1]:  # int() reads `1_0`, which the grid grammar refuses
+                raise ValueError(row)
             vertices.append((int(row[0]), int(row[1])))
         except ValueError as exc:
             raise InputError(f"not an integer pair: {echo(' '.join(row))}") from exc

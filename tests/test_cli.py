@@ -224,6 +224,7 @@ HEAD = b"model sinktree1d\nsink 0\n"
         (b"model sinktree1d\nsink " + b"3" * 4000 + b"\n1 0\n", "sink " + "3" * 40 + "... (4000 characters) references"),
         (HEAD + (b"4" * 4000 + b" 1\n") * 2, "point " + "4" * 40 + "... (4000 characters) has two receivers"),
         (HEAD + b"5" * 4000 + b" " + b"5" * 4000 + b"\n", "point " + "5" * 40 + "... (4000 characters) may not be its own"),
+        (HEAD + b"0_1 0\n", "not an index: '0_1'"),
     ],
     ids=[
         "over-4300-digits",
@@ -233,6 +234,7 @@ HEAD = b"model sinktree1d\nsink 0\n"
         "sink-out-of-range",
         "two-receivers",
         "own-receiver",
+        "underscore",
     ],
 )
 def test_unreadable_assignment_files_are_input_errors(tmp_path, content, message):
@@ -250,8 +252,9 @@ def test_unreadable_assignment_files_are_input_errors(tmp_path, content, message
     [
         (b"0 0\n" + b"1" * 5000 + b" 0\n", "not an integer pair: '" + "1" * 40 + "'... (5002 characters)"),
         (b"0 0\n0 " + b"x" * 5000 + b"\n", "not an integer pair: '0 " + "x" * 38 + "'... (5002 characters)"),
+        (b"0 0\n1_0 0\n", "not an integer pair: '1_0 0'"),
     ],
-    ids=["over-4300-digits", "long-token"],
+    ids=["over-4300-digits", "long-token", "underscore"],
 )
 def test_unreadable_grid_files_are_input_errors(tmp_path, content, message):
     (tmp_path / "bad.grid").write_bytes(content)

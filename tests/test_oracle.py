@@ -351,6 +351,35 @@ def test_every_2d_leaf_reached_is_accepted(coord_max):
             assert interference(inst, res.witness) == res.optimum, (n, seed)
 
 
+# One sha256, recorded before the limit was tested as a bit-set AND ahead of
+# the branch test, over each oracle's optimum, witness, passes and leaves and
+# the whole enumeration in order: random_instance_1d(n, seed, 100) and
+# random_points_2d(n, seed, 100 or 4) for n = 2..8 and seeds 1..5, plus evenly
+# spaced, tie-heavy points (0..n-1 on the line, the first n of a 3x3 grid).
+ORACLE_SEARCH_DIGEST = "a2135fec4a5f3b2fe31fbd61f263fa2bf28f37b97fed318fc89e0a70c494564a"
+
+
+def test_search_order_digest():
+    h = hashlib.sha256()
+    for n in range(2, 9):
+        line = [random_instance_1d(n, seed, 100) for seed in range(1, 6)]
+        line.append(Instance1D.from_values(range(n)))
+        for inst in line:
+            stats = OracleStats()
+            res = brute_force_1d(inst, stats=stats)
+            witness = sorted(res.witness.receiver.items())
+            h.update(repr((res.optimum, res.witness.sink, witness, stats.passes, stats.leaves)).encode())
+            for a in enumerate_optimal_1d(inst):
+                h.update(repr((a.sink, sorted(a.receiver.items()))).encode())
+        plane = [random_points_2d(n, seed, c) for c in (100, 4) for seed in range(1, 6)]
+        plane.append(Instance2D.from_values((x, y) for x in range(3) for y in range(3) if 3 * x + y < n))
+        for inst in plane:
+            stats = OracleStats()
+            res = brute_force_2d(inst, stats=stats)
+            h.update(repr((res.optimum, sorted(res.witness.receiver.items()), stats.passes, stats.leaves)).encode())
+    assert h.hexdigest() == ORACLE_SEARCH_DIGEST
+
+
 def test_bst_existence_small():
     rng = random.Random(7)
     sizes = [rng.randint(2, 6) for _ in range(8)] + [7, 7]

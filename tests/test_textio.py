@@ -79,6 +79,11 @@ def test_parse_grid():
         parse_grid("0 0\n0 0\n")
     with pytest.raises(InputError):
         parse_grid("0\n")
+    # int() reads `1_0` as 10; the grid grammar refuses it, but not in a comment.
+    for text in ("0 0\n1_0 0\n", "0 0\n1 _0\n", "0 0\n1 0_\n"):
+        with pytest.raises(InputError, match="not an integer pair"):
+            parse_grid(text)
+    assert parse_grid("0 0 # grid_a\n1 0\n") == [(0, 0), (1, 0)]
 
 
 def old_content_lines(text):
@@ -206,6 +211,11 @@ ASSIGNMENT_TEXTS = [
     "model asym2d\n0 1\n1 0\n",
     "model asym2d\n0 1\n1 0 2\n",
     "model sinktree1d\nsink 1\n0 1\n2 " + "3" * 4301 + "\n",
+    "model sinktree1d\nsink 0\n0_1 0\n",
+    "model sinktree1d\nsink 0\n1 0_0\n",
+    "model sinktree1d\nsink 1_0\n1 0\n",
+    "model asym2d\n0 1\n1_0 0\n",
+    "model sinktree1d\nsink 1\n0 1 # edge_0\n2 1\n",
 ]
 
 
