@@ -42,10 +42,13 @@ SINKTREE1D = "sinktree1d"
 def _ratio(value) -> tuple[int, int]:
     """An int, a Fraction or a token as (numerator, denominator) in lowest terms;
     tokens 'a' and 'a/b' of digits (a may have a '-') skip Fraction.  Refused:
+    non-ASCII characters (int() and Fraction read every Unicode digit),
     exponent notation (its parse time grows with the exponent) and '_' (which
     Fraction reads only from Python 3.11)."""
     try:
         if type(value) is str:
+            if not value.isascii():
+                raise ValueError("non-ASCII")
             if value.isdecimal():
                 return int(value), 1
             num, slash, den = value.partition("/")
@@ -173,7 +176,7 @@ class ReceiverAssignment:
 
     def check_for(self, instance: Instance) -> None:
         """Raise InputError unless this assignment is well-formed for `instance`."""
-        n = instance.n
+        n = len(instance.ints)
         for p, q in self.receiver.items():
             if not (0 <= p < n and 0 <= q < n):
                 raise InputError(f"edge ({echo(p)}, {echo(q)}) references a missing point")
@@ -296,29 +299,32 @@ def _strongly_connected(out: Sequence[Sequence[int]]) -> bool:
 
 
 def _tree_order(instance: Instance1D, assignment: ReceiverAssignment) -> list[int]:
-    """The points that reach the sink, each listed after its receiver."""
+    """The points that reach the sink, each listed after its receiver.  The
+    walk follows children lists from the sink with no `seen` list: every
+    point but the sink has one receiver, so no point is listed twice."""
     assignment.check_for(instance)
-    children: list[list[int]] = [[] for _ in range(instance.n)]
+    children: list[list[int]] = [[] for _ in instance.ints]
     for p, q in assignment.receiver.items():
         children[q].append(p)
-    return _reach(children, assignment.sink)
+    order = [assignment.sink]
+    for v in order:
+        order += children[v]
+    return order
 
 
 def is_valid(instance: Instance, assignment: ReceiverAssignment) -> bool:
     """Validity: strong connectivity (asym2d) or a rooted in-tree (sinktree1d)."""
     if assignment.model == ASYM2D:
         return _strongly_connected(_evaluate_2d(instance, assignment).out)
-    return len(_tree_order(instance, assignment)) == instance.n
+    return len(_tree_order(instance, assignment)) == len(instance.ints)
 
 
-def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[int]:
-    """Number of transmission ranges covering each point (own ball included);
-    in 2D, 1 plus the point's in-degree in the communication graph."""
-    if isinstance(instance, Instance2D):
-        return _evaluate_2d(instance, assignment).counts[:]
+def _coverage_delta(instance: Instance1D, assignment: ReceiverAssignment) -> list[int]:
+    """The 1D coverage counts as a difference array of n + 1 entries: its
+    running sums are the counts, then 0."""
     assignment.check_for(instance)
-    xs, n = instance.ints, instance.n
-    delta = [0] * (n + 1)
+    xs = instance.ints
+    delta = [0] * (len(xs) + 1)
     for c, b in assignment.receiver.items():  # cover_table[c][b], one bisect each
         if b > c:
             delta[bisect_left(xs, 2 * xs[c] - xs[b], 0, c)] += 1
@@ -326,7 +332,15 @@ def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[
         else:
             delta[b] += 1
             delta[bisect_right(xs, 2 * xs[c] - xs[b], c)] -= 1
-    return list(accumulate(delta[:n]))
+    return delta
+
+
+def coverage_counts(instance: Instance, assignment: ReceiverAssignment) -> list[int]:
+    """Number of transmission ranges covering each point (own ball included);
+    in 2D, 1 plus the point's in-degree in the communication graph."""
+    if isinstance(instance, Instance2D):
+        return _evaluate_2d(instance, assignment).counts[:]
+    return list(accumulate(_coverage_delta(instance, assignment)))[:-1]
 
 
 def interference_at(instance: Instance, assignment: ReceiverAssignment, point_id: int) -> int:
@@ -340,7 +354,9 @@ def interference_at(instance: Instance, assignment: ReceiverAssignment, point_id
 
 def interference(instance: Instance, assignment: ReceiverAssignment) -> int:
     """Maximum number of transmission ranges covering any point of the instance."""
-    return max(coverage_counts(instance, assignment), default=0)
+    if isinstance(instance, Instance2D):
+        return max(_evaluate_2d(instance, assignment).counts, default=0)
+    return max(accumulate(_coverage_delta(instance, assignment)))
 
 
 def verify_witness(instance: Instance, witness: ReceiverAssignment, optimum: int) -> None:
@@ -393,24 +409,23 @@ def cross_edges(instance: Instance1D, assignment: ReceiverAssignment) -> list[tu
 def has_bst_property(instance: Instance1D, assignment: ReceiverAssignment) -> bool:
     """Binary-search-tree shape: at most one child per side, and every node's
     descendant span contains nothing but its own descendants."""
-    masks = descendant_masks(instance, assignment)
-    n = instance.n
-    left_children = [0] * n
-    right_children = [0] * n
-    for p, q in assignment.receiver.items():
-        if p < q:
-            left_children[q] += 1
-        else:
-            right_children[q] += 1
-    if any(c > 1 for c in left_children) or any(c > 1 for c in right_children):
+    order = _valid_tree_order(instance, assignment)
+    receiver = assignment.receiver
+    if len({(q, p < q) for p, q in receiver.items()}) != len(receiver):  # two children on one side
         return False
-    for p in range(n):
-        mask = masks[p]
-        lo = (mask & -mask).bit_length() - 1
-        hi = mask.bit_length() - 1
-        if _span_mask(lo, hi) & ~mask:
-            return False
-    return True
+    # Walking the tree order backwards completes each point's least and
+    # greatest descendant and descendant count before its receiver's; the
+    # span holds nothing else exactly when it is as long as the count.
+    n = len(order)
+    lo, hi, size = list(range(n)), list(range(n)), [1] * n
+    for p in reversed(order[1:]):
+        q = receiver[p]
+        if lo[p] < lo[q]:
+            lo[q] = lo[p]
+        if hi[p] > hi[q]:
+            hi[q] = hi[p]
+        size[q] += size[p]
+    return all(b - a + 1 == k for a, b, k in zip(lo, hi, size))
 
 
 def count_bends(instance: Instance1D, assignment: ReceiverAssignment) -> int:

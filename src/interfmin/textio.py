@@ -1,7 +1,7 @@
 """Line-oriented text formats for instances, assignments, and grid graphs.
 
 Point file: one point per line, `#` starts a comment.  1D points are a single
-rational token (`a` or `a/b`), 2D points are two tokens.  Assignment file:
+rational token (`a` or `a/b`, ASCII digits), 2D points are two.  Assignment file:
 header `model asym2d|sinktree1d`, an optional `sink <index>` line, then one
 `<from-index> <to-index>` line per edge.  Indices are 0-based positions in the
 sorted coordinate order (1D) or file order (2D).  Grid-graph file: one `x y`
@@ -11,9 +11,9 @@ The files the 1D solve path writes are read whole: a point file of one integer
 per line (a 1D instance at scale 1) by one `int()` per line and one sort, and
 the edge lines of an assignment file by cutting each once at its space and
 reading both columns with `int()`.  Any other text (comments, blank lines,
-`a/b` or 2D lines, tabs, a `-` or `_` anywhere, a repeated index, a token
-`int()` refuses) goes to the line-by-line parser, which gives the same
-results and names the first error.
+`a/b` or 2D lines, tabs, a `-`, `_` or non-ASCII character anywhere, a
+repeated index, a token `int()` refuses) goes to the line-by-line parser,
+which gives the same results and names the first error.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def parse_points(text: str) -> Instance:
     """Parse a point file; the token count per line decides 1D vs 2D."""
     lines = text.splitlines()
     ints = None
-    if "_" not in text:  # int() reads `1_0`, which the point grammar refuses
+    if "_" not in text and text.isascii():  # int() reads `1_0` and `\u0663`, which points refuse
         try:  # a file of one integer per line, as format_points writes a 1D instance at scale 1
             ints = sorted(map(int, lines))
         except ValueError:
@@ -104,7 +104,7 @@ def parse_assignment(text: str) -> ReceiverAssignment:
     elif row:
         body.insert(0, " ".join(row))
     receiver = _read_edges(body)
-    if receiver is None or "-" in text or "_" in text:  # format_assignment writes neither
+    if receiver is None or "-" in text or "_" in text or not text.isascii():  # format_assignment writes none
         receiver = _edge_rows(_rows(text, body))
     return ReceiverAssignment(model=model, receiver=receiver, sink=sink)
 
@@ -134,7 +134,7 @@ def _edge_rows(rows: Iterable[list[str]]) -> dict[int, int]:
 
 def _parse_index(tok: str) -> int:
     try:
-        if "_" in tok:  # int() reads `1_0`, which the index grammar refuses
+        if "_" in tok or not tok.isascii():  # int() reads `1_0` and `\u0661`, which indices refuse
             raise ValueError(tok)
         value = int(tok)
     except ValueError as exc:
@@ -163,7 +163,7 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
         if len(row) != 2:
             raise InputError("grid vertices are `x y` integer pairs")
         try:
-            if "_" in row[0] + row[1]:  # int() reads `1_0`, which the grid grammar refuses
+            if "_" in (pair := row[0] + row[1]) or not pair.isascii():  # int() reads `1_0` and `\u0661`
                 raise ValueError(row)
             vertices.append((int(row[0]), int(row[1])))
         except ValueError as exc:

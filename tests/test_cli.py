@@ -47,14 +47,16 @@ def test_solve_verifies_witness(tmp_path, capsys):
 
 
 def test_solve_nna_counts_coverage_once(tmp_path, capsys, monkeypatch):
-    # The reported value is the witness's own, so one coverage pass suffices.
+    # The reported value is the witness's own, so one coverage pass suffices;
+    # 1D `coverage_counts` and `interference` both read the one pass
+    # `_coverage_delta` makes.
     from interfmin import model
 
     inst = tmp_path / "i.txt"
     inst.write_text("0\n1\n3\n4\n9\n")
     passes = []
-    coverage_counts = model.coverage_counts
-    monkeypatch.setattr(model, "coverage_counts", lambda *a: passes.append(a) or coverage_counts(*a))
+    coverage_delta = model._coverage_delta
+    monkeypatch.setattr(model, "_coverage_delta", lambda *a: passes.append(a) or coverage_delta(*a))
     code, out, _ = run(capsys, "solve", "--method", "nna", str(inst))
     assert code == 0 and "optimum: " in out
     assert len(passes) == 1
@@ -200,8 +202,9 @@ def test_exit_code_malformed(tmp_path, capsys):
         (b"1" * 5000 + b"\n0\n", "not a rational number: '" + "1" * 40 + "'... (5000 characters)"),
         (b"0\n1e16000000\n", "not a rational number: '1e16000000'"),
         (b"0\n" + b"1" * 5000 + b"/0\n", "not a rational number: '" + "1" * 40 + "'... (5002 characters)\n"),
+        ("0\n٣\n".encode(), "not a rational number: '٣'"),
     ],
-    ids=["not-utf8", "over-4300-digits", "exponent", "long-fraction"],
+    ids=["not-utf8", "over-4300-digits", "exponent", "long-fraction", "arabic-indic-digit"],
 )
 def test_unreadable_point_files_are_input_errors(tmp_path, content, message):
     (tmp_path / "bad.txt").write_bytes(content)
@@ -225,6 +228,7 @@ HEAD = b"model sinktree1d\nsink 0\n"
         (HEAD + (b"4" * 4000 + b" 1\n") * 2, "point " + "4" * 40 + "... (4000 characters) has two receivers"),
         (HEAD + b"5" * 4000 + b" " + b"5" * 4000 + b"\n", "point " + "5" * 40 + "... (4000 characters) may not be its own"),
         (HEAD + b"0_1 0\n", "not an index: '0_1'"),
+        (HEAD + "١ 0\n".encode(), "not an index: '١'"),
     ],
     ids=[
         "over-4300-digits",
@@ -235,6 +239,7 @@ HEAD = b"model sinktree1d\nsink 0\n"
         "two-receivers",
         "own-receiver",
         "underscore",
+        "arabic-indic-digit",
     ],
 )
 def test_unreadable_assignment_files_are_input_errors(tmp_path, content, message):
@@ -253,8 +258,9 @@ def test_unreadable_assignment_files_are_input_errors(tmp_path, content, message
         (b"0 0\n" + b"1" * 5000 + b" 0\n", "not an integer pair: '" + "1" * 40 + "'... (5002 characters)"),
         (b"0 0\n0 " + b"x" * 5000 + b"\n", "not an integer pair: '0 " + "x" * 38 + "'... (5002 characters)"),
         (b"0 0\n1_0 0\n", "not an integer pair: '1_0 0'"),
+        ("0 0\n١ 0\n".encode(), "not an integer pair: '١ 0'"),
     ],
-    ids=["over-4300-digits", "long-token", "underscore"],
+    ids=["over-4300-digits", "long-token", "underscore", "arabic-indic-digit"],
 )
 def test_unreadable_grid_files_are_input_errors(tmp_path, content, message):
     (tmp_path / "bad.grid").write_bytes(content)

@@ -538,6 +538,67 @@ def naive_coverage_1d(inst, a):
 def test_coverage_counts_match_naive_count(case):
     inst, a = case
     assert coverage_counts(inst, a) == naive_coverage_1d(inst, a)
+    assert interference(inst, a) == max(naive_coverage_1d(inst, a), default=0)
+
+
+def naive_is_valid_1d(inst, a):
+    """Every point reaches the sink within n steps along its receivers."""
+    for p in range(inst.n):
+        for _ in range(inst.n):
+            if p == a.sink:
+                break
+            p = a.receiver[p]
+        if p != a.sink:
+            return False
+    return True
+
+
+def _chain_to_sink(tree, q):
+    """The points from q along the receivers of a valid tree, up to the sink."""
+    path = [q]
+    while path[-1] in tree:
+        path.append(tree[path[-1]])
+    return path
+
+
+def random_receiver_maps(rng, n):
+    """Receiver maps on n points: a uniform one, mostly invalid; a valid tree;
+    that tree with one point turned to one of its own descendants, a cycle
+    away from the sink; and a cycle with the other points chained into it or
+    into the sink."""
+    sink = rng.randrange(n)
+    others = [p for p in range(n) if p != sink]
+    yield sink, {p: rng.choice([q for q in range(n) if q != p]) for p in others}
+    order = [sink] + rng.sample(others, n - 1)
+    tree = {p: rng.choice(order[:i]) for i, p in enumerate(order) if i}
+    yield sink, tree
+    for p in order[1:]:  # p turns to one of its own descendants: a cycle, with p's subtree on it
+        below = [q for q in others if q != p and p in _chain_to_sink(tree, q)]
+        if below:
+            yield sink, {**tree, p: rng.choice(below)}
+            break
+    size = rng.randrange(2, n - 1)  # a cycle of `size` points, then the others chained into it or the sink
+    ring = rng.sample(others, size)
+    cyc = {p: ring[(i + 1) % size] for i, p in enumerate(ring)}
+    rest = [p for p in others if p not in cyc]
+    rng.shuffle(rest)
+    for i, p in enumerate(rest):
+        cyc[p] = rng.choice(ring + rest[:i] + [sink] * (i > 0))
+    yield sink, cyc
+
+
+def test_is_valid_1d_matches_following_receivers():
+    rng = random.Random(27)
+    verdicts = set()
+    for n in range(7, 13):
+        inst = Instance1D.from_values(range(n))
+        for _ in range(300):
+            for sink, receiver in random_receiver_maps(rng, n):
+                a = ReceiverAssignment(SINKTREE1D, receiver, sink)
+                expected = naive_is_valid_1d(inst, a)
+                assert is_valid(inst, a) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_integer_view_scales_by_the_lcm():
@@ -716,11 +777,12 @@ RATIONAL_TOKENS = [
 
 def rational_reference(token: str):
     """Fraction(token), or the InputError message the lattice parse gives
-    when Fraction refuses the token or the token uses exponent notation or
-    '_' (which Fraction reads only from Python 3.11)."""
+    when Fraction refuses the token or the token holds a non-ASCII character
+    (Fraction reads every Unicode digit), uses exponent notation or '_'
+    (which Fraction reads only from Python 3.11)."""
     try:
-        if "e" in token or "E" in token or "_" in token:
-            raise ValueError("exponent notation or '_'")
+        if not token.isascii() or "e" in token or "E" in token or "_" in token:
+            raise ValueError("non-ASCII, exponent notation or '_'")
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"

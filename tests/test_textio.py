@@ -84,6 +84,28 @@ def test_parse_grid():
         with pytest.raises(InputError, match="not an integer pair"):
             parse_grid(text)
     assert parse_grid("0 0 # grid_a\n1 0\n") == [(0, 0), (1, 0)]
+    assert parse_grid("0 0 # é\n1 0\n") == [(0, 0), (1, 0)]  # a non-ASCII comment is still a comment
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_points, "٣\n1\n", "not a rational number: '٣'"),
+        (parse_points, "# c\n٣\n1\n", "not a rational number: '٣'"),
+        (parse_points, "0\n٣/2\n", "not a rational number: '٣/2'"),
+        (parse_points, "0 0\n1 ٣\n", "not a rational number: '٣'"),
+        (parse_assignment, "model sinktree1d\nsink 0\n١ 0\n", "not an index: '١'"),
+        (parse_assignment, "model sinktree1d\nsink ١\n1 0\n", "not an index: '١'"),
+        (parse_assignment, "model asym2d\n0 1\n1 ١\n", "not an index: '١'"),
+        (parse_grid, "0 0\n١ 0\n", "not an integer pair: '١ 0'"),
+    ],
+    ids=["point", "point-after-comment", "fraction", "point-2d", "edge", "sink", "edge-asym2d", "grid"],
+)
+def test_non_ascii_digits_are_refused(parse, text, message):
+    # int() and Fraction read every Unicode digit; the file grammars take ASCII digits only.
+    with pytest.raises(InputError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def old_content_lines(text):
@@ -169,6 +191,9 @@ POINT_TEXTS = [
     "12 \n-3  \n0\t\n7\n",
     "12\n-3\n12\n",
     "12\n-3\n" + "4" * 4301 + "\n",
+    "٣\n1\n",
+    "# c\n1\n٣/2\n",
+    "# é\n3\n1\n",
 ]
 
 ASSIGNMENT_TEXTS = [
@@ -216,6 +241,9 @@ ASSIGNMENT_TEXTS = [
     "model sinktree1d\nsink 1_0\n1 0\n",
     "model asym2d\n0 1\n1_0 0\n",
     "model sinktree1d\nsink 1\n0 1 # edge_0\n2 1\n",
+    "model sinktree1d\nsink 0\n١ 0\n",
+    "model sinktree1d\nsink ١\n1 0\n",
+    "model sinktree1d\nsink 1\n0 1 # é\n2 1\n",
 ]
 
 
