@@ -1,25 +1,28 @@
 """Brute-force exact solvers for small instances.
 
 These are the ground truth the other solvers are tested against.  All three
-oracles run one search over one ball table: balls[p][q] lists the points that
-the ball of p reaching q covers.  The search visits assignments in a fixed
-order (1D: root by root, every receiver map whose functional graph is an
-in-tree rooted there; 2D: every receiver map) under a limit L deepened from a
-coverage floor.  Each open point will own at least its least ball, the one
-reaching its nearest neighbour (the 1D sink owns none); a branch is cut once
-its chosen balls plus the open points' least balls cover a point more than L
-times (one AND with the points at L, tested first) or its choices close off a
-proper set of points that no later choice can leave (1D: a cycle; 2D: a set
-no chosen edge leads out of), so every 2D leaf reached is strongly connected.
-So the first pass that accepts an assignment (1D: any sink tree; 2D: a
-strongly connected one) is at the optimum, and the first it accepts is the
-witness.
+oracles run one search over one ball table, built from one distance order per
+point: the balls of p are nested, so the ball of p reaching q is the prefix of
+p's order up to the last point no farther than q.  The search visits
+assignments in a fixed order (1D: root by root, every receiver map whose
+functional graph is an in-tree rooted there; 2D: every receiver map) under a
+limit L deepened from a coverage floor.  Each open point will own at least its
+least ball, the one reaching its nearest neighbour (the 1D sink owns none); a
+branch is cut once its chosen balls plus the open points' least balls cover a
+point more than L times (one AND with the points at L, tested first) or its
+choices close off a proper set of points that no later choice can leave (1D: a
+cycle; 2D: a set no chosen edge leads out of), so every 2D leaf reached is
+strongly connected.  So the first pass that accepts an assignment (1D: any
+sink tree; 2D: a strongly connected one) is at the optimum, and the first it
+accepts is the witness.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, chain, count
+from operator import or_
 
 from .errors import CapExceededError, InputError
 from .model import (
@@ -30,11 +33,10 @@ from .model import (
     Instance2D,
     ReceiverAssignment,
     _strongly_connected,
-    cover_table,
     dist2,
 )
 
-DEFAULT_CAP_1D = 11
+DEFAULT_CAP_1D = 13
 DEFAULT_CAP_2D = 13
 
 
@@ -65,29 +67,39 @@ def _would_cycle(parent: list[int | None], tail: int, head: int) -> bool:
 
 
 def _ball_table(instance: Instance):
-    """balls[p][q] (the points the ball of p reaching q covers, ascending),
-    least[p] (p's least ball), extra[p][q] (the points of balls[p][q] beyond
-    least[p]) and the starts: each root (2D: None) with the count on every
-    point of the least balls of the points other than the root."""
+    """orders[p] (the points by distance from p, ties by index), masks[p][q]
+    (the ball of p reaching q as a bit set; it is orders[p][:k] for k its bit
+    count), least[p] (p's least ball), extra[p][q] (the points of that ball
+    beyond least[p], ascending), bits[p][q] (the same as a bit set) and the
+    starts: each root (2D: None) with the count on every point of the least
+    balls of the points other than the root."""
     n = instance.n
     if isinstance(instance, Instance1D):
-        balls = [[tuple(range(lo, hi + 1)) for lo, hi in row] for row in cover_table(instance)]
+        rows = [[abs(a - b) for b in instance.ints] for a in instance.ints]
         roots: list[int | None] = list(range(n))
     else:
-        d2 = [[dist2(a, b) for b in instance.ints] for a in instance.ints]
-        balls = [[tuple(j for j, s in enumerate(row) if s <= r) for r in row] for row in d2]
+        rows = [[dist2(a, b) for b in instance.ints] for a in instance.ints]
         roots = [None]
-    # The balls around p are nested, so the least one covers the fewest points.
-    least = [
-        min((b for q, b in enumerate(row) if q != p), key=len, default=row[p])
-        for p, row in enumerate(balls)
-    ]
-    extra = [[tuple(j for j in b if j not in m) for b in row] for row, m in zip(balls, least)]
-    starts = [
-        (root, [sum(j in m for p, m in enumerate(least) if p != root) for j in range(n)])
-        for root in roots
-    ]
-    return balls, least, extra, starts
+    orders, masks, least, extra, bits = [], [], [], [], []
+    for row in rows:
+        order = sorted(range(n), key=row.__getitem__)
+        near = [row[j] for j in order]
+        ks = [bisect_right(near, r) for r in row]  # the ball reaching q: order[:ks[q]]
+        prefix = list(accumulate([1 << j for j in order], or_, initial=0))
+        k0 = bisect_right(near, near[min(1, n - 1)])  # up to the nearest other point
+        orders.append(order)
+        masks.append([prefix[k] for k in ks])
+        least.append(tuple(sorted(order[:k0])))
+        extra.append([tuple(sorted(order[k0:k])) for k in ks])
+        bits.append([prefix[k] & ~prefix[k0] for k in ks])
+    total = [0] * n
+    for j in chain.from_iterable(least):
+        total[j] += 1
+    starts = [(root, total.copy()) for root in roots]
+    for root, counts in starts:
+        for j in () if root is None else least[root]:
+            counts[j] -= 1
+    return orders, masks, least, extra, bits, starts
 
 
 def _search(tables, cuts, accept, first: bool, stats: OracleStats):
@@ -95,8 +107,7 @@ def _search(tables, cuts, accept, first: bool, stats: OracleStats):
     the assignments that pass accepted (only the first if `first`) and its
     limit.  cuts(parent, p, q) is true if no accepted leaf follows N(p) = q;
     accept(parent, root) is a leaf's assignment, or None to reject it."""
-    extra, starts = tables[2:]
-    bits = [[sum(1 << j for j in e) for e in row] for row in extra]
+    extra, bits, starts = tables[3:]
     parent: list[int | None] = [None] * len(extra)
     found: list[ReceiverAssignment] = []
 
@@ -182,9 +193,7 @@ def brute_force_2d(
         raise InputError("2D brute force needs at least two points")
     _check_cap(instance.n, cap, "2D brute force")
     tables = _ball_table(instance)
-    # out[p][q]: the edges from p if N(p) = q; bits[p][q]: the same as a bit set.
-    out = [[tuple(j for j in b if j != p) for b in row] for p, row in enumerate(tables[0])]
-    bits = [[sum(1 << j for j in e) for e in row] for row in out]
+    orders, masks = tables[:2]
     everyone = (1 << instance.n) - 1
 
     def closes(parent: list[int], p: int, q: int) -> bool:
@@ -193,19 +202,19 @@ def brute_force_2d(
         # set walked: no leaf below is strongly connected unless that is all.
         chosen = (2 << p) - 1
         reached = 1 << p
-        todo = bits[p][q]
+        todo = masks[p][q] ^ reached
         while todo:
             if todo > chosen:  # an open point is reached
                 return False
             low = todo & -todo
             reached |= low
             j = low.bit_length() - 1
-            todo = (todo | bits[j][parent[j]]) & ~reached
+            todo = (todo | masks[j][parent[j]]) & ~reached
         return reached != everyone
 
     def connected(parent: list[int], root: None) -> ReceiverAssignment | None:
-        # out[p][parent[p]] for every p, built without a Python-level loop.
-        if _strongly_connected(list(map(list.__getitem__, out, parent))):
+        # The edges from p are its ball but p, which comes first in it.
+        if _strongly_connected([orders[p][1 : masks[p][q].bit_count()] for p, q in enumerate(parent)]):
             return ReceiverAssignment(ASYM2D, dict(enumerate(parent)))
         return None
 

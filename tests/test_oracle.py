@@ -14,7 +14,9 @@ from interfmin.model import (
     Instance1D,
     Instance2D,
     ReceiverAssignment,
+    cover_table,
     cross_edges,
+    dist2,
     has_bst_property,
     interference,
     is_valid,
@@ -307,7 +309,7 @@ def test_golden_witnesses_2d():
 
 
 def floor(instance):
-    return min(max(counts) for _, counts in _ball_table(instance)[3])
+    return min(max(counts) for _, counts in _ball_table(instance)[5])
 
 
 def test_least_ball_floor_is_at_most_the_optimum():
@@ -321,12 +323,68 @@ def test_least_ball_floor_is_at_most_the_optimum():
 
 def test_one_ball_table_for_both_dimensions():
     # On a line the 2D balls are the 1D intervals, so both oracles search
-    # the same balls, least balls and extras.
+    # the same distance orders, ball masks, least balls, extras and bits.
     for n in range(2, 9):
         for seed in range(1, 11):
             line = random_instance_1d(n, seed, 100)
             plane = Instance2D.from_values((x, 0) for x in line.ints)
-            assert _ball_table(plane)[:3] == _ball_table(line)[:3], (n, seed)
+            assert _ball_table(plane)[:5] == _ball_table(line)[:5], (n, seed)
+
+
+def naive_ball_table(instance):
+    """The tables built point by point from every ball's member list, as the
+    oracle built them before it sorted each point's distances once: balls
+    (ascending), least balls, extras, starts, the extras as bit sets and
+    out[p][q], the 2D edges from p if N(p) = q (ascending)."""
+    n = instance.n
+    if isinstance(instance, Instance1D):
+        balls = [[tuple(range(lo, hi + 1)) for lo, hi in row] for row in cover_table(instance)]
+        roots = list(range(n))
+    else:
+        d2 = [[dist2(a, b) for b in instance.ints] for a in instance.ints]
+        balls = [[tuple(j for j, s in enumerate(row) if s <= r) for r in row] for row in d2]
+        roots = [None]
+    least = [
+        min((b for q, b in enumerate(row) if q != p), key=len, default=row[p])
+        for p, row in enumerate(balls)
+    ]
+    extra = [[tuple(j for j in b if j not in m) for b in row] for row, m in zip(balls, least)]
+    starts = [
+        (root, [sum(j in m for p, m in enumerate(least) if p != root) for j in range(n)])
+        for root in roots
+    ]
+    bits = [[sum(1 << j for j in e) for e in row] for row in extra]
+    out = [[tuple(j for j in b if j != p) for b in row] for p, row in enumerate(balls)]
+    return balls, least, extra, starts, bits, out
+
+
+def assert_tables_match_naive(instance):
+    orders, masks, least, extra, bits, starts = _ball_table(instance)
+    balls, *rest, out = naive_ball_table(instance)
+    assert (least, extra, starts, bits) == tuple(rest)
+    n = instance.n
+    assert masks == [[sum(1 << j for j in b) for b in row] for row in balls]
+    for p in range(n):
+        # Nearer points reach smaller balls; p's own, of one point, comes first.
+        assert orders[p] == sorted(range(n), key=lambda q: (len(balls[p][q]), q))
+        for q in range(n):
+            # The ball as the oracle reads it: the prefix of p's order whose
+            # length is its mask's bit count; without p, the 2D edges.
+            ball = orders[p][: masks[p][q].bit_count()]
+            assert tuple(sorted(ball)) == balls[p][q]
+            assert tuple(sorted(ball[1:])) == out[p][q]
+
+
+def test_ball_table_matches_naive_construction():
+    for n in range(1, 12):
+        for seed in range(1, 6):
+            for coord_max in (12, 100, 10**6):
+                assert_tables_match_naive(random_instance_1d(n, seed, coord_max))
+        assert_tables_match_naive(Instance1D.from_values(range(n)))
+    for n in range(2, 11):
+        for seed in range(1, 6):
+            for coord_max in (100, 4):
+                assert_tables_match_naive(random_points_2d(n, seed, coord_max))
 
 
 @pytest.mark.parametrize("coord_max", [100, 4])
