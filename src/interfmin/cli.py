@@ -193,7 +193,7 @@ def _cmd_solve(args) -> int:
         _write(args.dot, textio.format_graph_dot(communication_graph_2d(instance, result.witness)))
     if args.trace:
         for i, comps in enumerate(rounds, start=1):
-            parts = " ".join(f"[{c.lo}-{c.hi}]@{c.sink}" for c in comps)
+            parts = " ".join(f"[{lo}-{hi}]@{sink}" for lo, hi, sink in comps)
             print(f"round {i}: {parts}")
     print(f"method: {args.method}")
     print(f"optimum: {result.optimum}")

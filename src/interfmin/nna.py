@@ -15,38 +15,31 @@ therefore reproducible.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .model import SINKTREE1D, Instance1D, ReceiverAssignment
 
 
-class Component(NamedTuple):
-    """Contiguous index interval [lo, hi] carrying an in-tree rooted at sink."""
-
-    lo: int
-    hi: int
-    sink: int
-
-
 def nna_round(
     instance: Instance1D, components: Sequence[tuple[int, int, int]], receiver: dict[int, int]
-) -> list[Component]:
-    """One merging round over (lo, hi, sink) triples such as Components; the
-    component count at least halves.  The edge of every sink that does not
-    survive is written into `receiver`."""
+) -> list[tuple[int, int, int]]:
+    """One merging round over components, each a contiguous index interval
+    [lo, hi] carrying an in-tree rooted at sink and given as the plain tuple
+    (lo, hi, sink); the component count at least halves.  The edge of every
+    sink that does not survive is written into `receiver`."""
     if len(components) < 2:
         raise InputError("a merging round needs at least two components")
     xs = instance.ints
     last = instance.n - 1
-    merged: list[Component] = []
+    merged: list[tuple[int, int, int]] = []
     start = 0  # lo of the open cluster
     # The sinks of the open cluster's mutually-pointing pair, set at its first
     # left-pointing component; the next right-pointing one ends the cluster.
     prev, left_sink, right_sink = -1, None, None
     for lo, hi, sink in components:
         x = xs[sink]
-        # Components tile the line, so the successor is the nearer of
+        # The components tile the line, so the successor is the nearer of
         # lo - 1 and hi + 1; ties go left.
         if hi == last or (lo > 0 and x - xs[lo - 1] <= xs[hi + 1] - x):
             receiver[sink] = lo - 1
@@ -59,16 +52,16 @@ def nna_round(
                 tie = start > 0 and xs[left_sink] - xs[start - 1] == xs[lo] - xs[left_sink]
                 survivor = right_sink if tie else left_sink
                 del receiver[survivor]
-                merged.append(Component(start, lo - 1, survivor))
+                merged.append((start, lo - 1, survivor))
                 start, right_sink = lo, None
         prev = sink
     # The last cluster ends at the last point, so no tie can move its survivor.
     del receiver[left_sink]
-    merged.append(Component(start, last, left_sink))
+    merged.append((start, last, left_sink))
     return merged
 
 
-def nna(instance: Instance1D, round_log: list[list[Component]] | None = None) -> ReceiverAssignment:
+def nna(instance: Instance1D, round_log: list[list[tuple[int, int, int]]] | None = None) -> ReceiverAssignment:
     """Run the heuristic to a single component and return its assignment."""
     components = [(i, i, i) for i in range(instance.n)]  # the singletons
     receiver: dict[int, int] = {}

@@ -74,8 +74,10 @@ def format_points(instance: Instance) -> str:
     """The point file; refused when a coordinate has more digits than str() writes."""
     s = instance.scale
     try:
+        if isinstance(instance, Instance1D) and s == 1:
+            return ("%d\n" * instance.n) % instance.ints
         if isinstance(instance, Instance1D):
-            body = "\n".join(map(str, instance.ints) if s == 1 else (_token(x, s) for x in instance.ints))
+            body = "\n".join(_token(x, s) for x in instance.ints)
         else:
             body = "\n".join(f"{_token(x, s)} {_token(y, s)}" for x, y in instance.ints)
     except ValueError as exc:
@@ -146,12 +148,15 @@ def _parse_index(tok: str) -> int:
 
 def format_assignment(assignment: ReceiverAssignment) -> str:
     """Canonical form: header, sink line, then edges sorted by source index."""
-    lines = [f"model {assignment.model}"]
+    head = f"model {assignment.model}\n"
     if assignment.sink is not None:
-        lines.append(f"sink {assignment.sink}")
+        head += f"sink {assignment.sink}\n"
     receiver = assignment.receiver
-    lines += [f"{p} {receiver[p]}" for p in sorted(receiver)]
-    return "\n".join(lines) + "\n"
+    sources = sorted(receiver)
+    edges = [0] * (2 * len(sources))  # source, receiver, source, ...
+    edges[::2] = sources
+    edges[1::2] = map(receiver.__getitem__, sources)
+    return head + ("%d %d\n" * len(sources)) % tuple(edges)
 
 
 def parse_grid(text: str) -> list[tuple[int, int]]:

@@ -84,6 +84,18 @@ def run_process(*argv, cwd=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_solve_nna_trace_prints_each_round(tmp_path):
+    inst = tmp_path / "i.txt"
+    inst.write_text("0\n1\n3\n4\n")
+    code, out, err = run_process("solve", "--method", "nna", "--trace", str(inst))
+    assert (code, err) == (0, "")
+    # Recorded while the rounds were logged as named (lo, hi, sink) components.
+    assert out == (
+        "round 1: [0-1]@0 [2-3]@2\nround 2: [0-3]@0\nmethod: nna\noptimum: 2\n"
+        "model sinktree1d\nsink 0\n1 0\n2 1\n3 2\n"
+    )
+
+
 def test_solve_witness_out_into_missing_directory(tmp_path):
     inst = tmp_path / "i.txt"
     inst.write_text("0\n1\n3\n4\n")

@@ -7,7 +7,7 @@ import pytest
 from interfmin.errors import InputError
 from interfmin.families import gen_log_lower, gen_p, gen_q, random_instance_1d
 from interfmin.model import Instance1D, interference, is_valid
-from interfmin.nna import Component, nna, nna_round
+from interfmin.nna import nna, nna_round
 from interfmin.dpsolve import solve_exact
 
 
@@ -29,20 +29,20 @@ def test_singleton():
 
 def test_round_trace_matches_hand_run():
     inst = Instance1D.from_values([0, 1, 3, 4])
-    singletons = [Component(i, i, i) for i in range(4)]
+    singletons = [(i, i, i) for i in range(4)]
     receiver = {}
     round1 = nna_round(inst, singletons, receiver)
-    assert [(c.lo, c.hi, c.sink) for c in round1] == [(0, 1, 0), (2, 3, 2)]
+    assert [(lo, hi, sink) for lo, hi, sink in round1] == [(0, 1, 0), (2, 3, 2)]
     assert receiver == {1: 0, 3: 2}
     round2 = nna_round(inst, round1, receiver)
-    assert [(c.lo, c.hi, c.sink) for c in round2] == [(0, 3, 0)]
+    assert [(lo, hi, sink) for lo, hi, sink in round2] == [(0, 3, 0)]
     assert receiver == {1: 0, 3: 2, 2: 1}
 
 
 def test_single_component_errors():
     inst = Instance1D.from_values([0, 1])
     with pytest.raises(InputError):
-        nna_round(inst, [Component(0, 1, 0)], {1: 0})
+        nna_round(inst, [(0, 1, 0)], {1: 0})
 
 
 def test_structured_instances():
@@ -111,7 +111,7 @@ def test_golden_digest():
     for inst in golden_instances():
         rounds = []
         a = nna(inst, rounds)
-        partitions = [[(c.lo, c.hi, c.sink) for c in r] for r in rounds]
+        partitions = [[(lo, hi, sink) for lo, hi, sink in r] for r in rounds]
         h.update(f"{a.sink} {sorted(a.receiver.items())} {partitions}\n".encode())
         count += 1
     assert (count, h.hexdigest()[:16]) == (897, "32e15710bf6011d0")

@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -305,6 +307,29 @@ def test_drawn_files_match_line_by_line_parser(text):
         assert outcome(parse_assignment, assignment_text) == outcome(old_parse_assignment, assignment_text)
 
 
+def old_format_points(instance):
+    """format_points as it was written, one string per line, here from the
+    instance's Fraction points."""
+    try:
+        if isinstance(instance, Instance1D):
+            body = "\n".join(str(x) for x in instance.points)
+        else:
+            body = "\n".join(f"{x} {y}" for x, y in instance.points)
+    except ValueError as exc:
+        raise InputError(f"cannot write a coordinate of more than {sys.get_int_max_str_digits()} digits") from exc
+    return body + "\n"
+
+
+def old_format_assignment(assignment):
+    """format_assignment as it was written with one string per line."""
+    lines = [f"model {assignment.model}"]
+    if assignment.sink is not None:
+        lines.append(f"sink {assignment.sink}")
+    receiver = assignment.receiver
+    lines += [f"{p} {receiver[p]}" for p in sorted(receiver)]
+    return "\n".join(lines) + "\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=30, unique=True),
@@ -313,11 +338,11 @@ def test_drawn_files_match_line_by_line_parser(text):
 def test_format_points_writes_fractions_and_round_trips(nums, den):
     inst = Instance1D.from_values(Fraction(v, den) for v in nums)
     text = format_points(inst)
-    assert text == "".join(f"{x}\n" for x in inst.points)
+    assert text == old_format_points(inst)
     assert parse_points(text) == inst
     inst2 = Instance2D.from_values((Fraction(v, den), Fraction(-v, den)) for v in nums)
     text2 = format_points(inst2)
-    assert text2 == "".join(f"{x} {y}\n" for x, y in inst2.points)
+    assert text2 == old_format_points(inst2)
     assert parse_points(text2) == inst2
 
 
@@ -343,3 +368,183 @@ def test_written_1d_files_are_read_whole(monkeypatch, instance):
     assert taken == []
     assert parse_assignment(format_assignment(witness)) == witness
     assert taken == [["model", SINKTREE1D], ["sink", str(witness.sink)]]
+
+
+@st.composite
+def scale_one_instances(draw):
+    """1D instances at scale 1: negative coordinates, and gen_log_lower's
+    fillers of hundreds of digits."""
+    if draw(st.booleans()):
+        return gen_log_lower(draw(st.integers(1, 1500))).instance
+    return Instance1D.from_values(draw(st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=40, unique=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale_one_instances())
+def test_writers_at_scale_one_match_line_by_line_writers(instance):
+    assert format_points(instance) == old_format_points(instance)
+    witness = nna(instance)
+    assert format_assignment(witness) == old_format_assignment(witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=40, unique_by=lambda e: e[0]))
+def test_format_asym2d_assignment_matches_line_by_line_writer(edges):
+    assignment = ReceiverAssignment(ASYM2D, {p: q for p, q in edges if p != q}, None)
+    assert format_assignment(assignment) == old_format_assignment(assignment)
+    assert parse_assignment(format_assignment(assignment)) == assignment
+
+
+def test_format_one_point():
+    instance = Instance1D((-7,), 1)
+    assert format_points(instance) == "-7\n"
+    witness = nna(instance)
+    assert format_assignment(witness) == old_format_assignment(witness) == "model sinktree1d\nsink 0\n"
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        Instance1D((0, 10**4300), 1),
+        Instance1D((-(10**4300), 0), 1),
+        Instance1D((1, 10**4301), 2),
+        Instance2D(((0, 10**4300), (1, 0)), 1),
+    ],
+    ids=["1d", "1d-negative", "1d-scale-2", "2d"],
+)
+def test_format_points_refuses_more_digits_than_str_writes(instance):
+    message = f"cannot write a coordinate of more than {sys.get_int_max_str_digits()} digits"
+    with pytest.raises(InputError) as info:
+        format_points(instance)
+    assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        old_format_points(instance)
+    assert str(info.value) == message
+
+
+# A reference for the number tokens, written from the grammar with regular
+# expressions and the standard library only, so it shares no code with the
+# readers it checks.  It states what the readers accept today: a 1D point is
+# an optional sign and then `a`, `a/b` (b not zero), `a.b`, `.b` or `a.`; an
+# index is an optional `+` and digits, or `-` and zeros; both in ASCII digits,
+# with no run of digits longer than int() reads.
+POINT_TOKEN = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]*[1-9][0-9]*)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+INDEX_TOKEN = re.compile(r"\+?[0-9]+|-0+")
+NEGATIVE_INDEX_TOKEN = re.compile(r"-[0-9]*[1-9][0-9]*")
+
+
+def digit_runs_fit(token):
+    return all(len(run) <= sys.get_int_max_str_digits() for run in re.findall("[0-9]+", token))
+
+
+def quoted(token):
+    """The start of a message that names `token`; longer tokens are shortened."""
+    return repr(token) if len(token) <= 40 else repr(token[:40])
+
+
+def regex_points_outcome(text):
+    """What parse_points gives for a 1D text, by the token regex; None for
+    any other text."""
+    rows = old_content_lines(text)
+    if not rows or any(len(row) != 1 for row in rows):
+        return None
+    tokens = [row[0] for row in rows]
+    for token in tokens:
+        if not (POINT_TOKEN.fullmatch(token) and digit_runs_fit(token)):
+            return f"InputError: not a rational number: {quoted(token)}"
+    values = sorted(map(Fraction, tokens))
+    if len(set(values)) < len(values):
+        return "InputError: duplicate 1D point"
+    return tuple(values)
+
+
+def regex_index(token):
+    if INDEX_TOKEN.fullmatch(token) and digit_runs_fit(token):
+        return int(token)
+    if NEGATIVE_INDEX_TOKEN.fullmatch(token) and digit_runs_fit(token):
+        return f"InputError: negative index: {quoted(token)}"
+    return f"InputError: not an index: {quoted(token)}"
+
+
+def regex_assignment_outcome(text):
+    """What parse_assignment gives, by the index regex, for a text with a good
+    header, an optional two-token sink line and then two-token edge lines;
+    None for any other text."""
+    rows = old_content_lines(text)
+    if not rows or len(rows[0]) != 2 or rows[0][0] != "model" or rows[0][1] not in (ASYM2D, SINKTREE1D):
+        return None
+    body = rows[1:]
+    if any(len(row) != 2 for row in body):
+        return None
+    sink = None
+    if body and body[0][0] == "sink":
+        sink = regex_index(body[0][1])
+        if isinstance(sink, str):
+            return sink
+        body = body[1:]
+    receiver = {}
+    for row in body:
+        p, q = regex_index(row[0]), regex_index(row[1])
+        for value in (p, q):
+            if isinstance(value, str):
+                return value
+        if p in receiver:
+            return f"InputError: point {str(p)[:40]}"  # ... has two receivers
+        receiver[p] = q
+    model = rows[0][1]
+    for p, q in receiver.items():
+        if p == q:
+            return f"InputError: point {str(p)[:40]}"  # ... may not be its own receiver
+    if model == ASYM2D and sink is not None:
+        return "InputError: asym2d assignments have no sink"
+    if model == SINKTREE1D and sink is None:
+        return "InputError: sinktree1d assignments need a sink"
+    return model, receiver, sink
+
+
+def check_against_regex_reference(text):
+    expected = regex_points_outcome(text)
+    got = outcome(parse_points, text)
+    if isinstance(expected, str):
+        assert isinstance(got, str) and got.startswith(expected), (got, expected)
+    elif expected is not None:
+        assert not isinstance(got, str) and got.points == expected, (got, expected)
+    for assignment_text in (text, "model sinktree1d\nsink 0\n" + text):
+        expected = regex_assignment_outcome(assignment_text)
+        got = outcome(parse_assignment, assignment_text)
+        if isinstance(expected, str):
+            assert isinstance(got, str) and got.startswith(expected), (got, expected)
+        elif expected is not None:
+            assert not isinstance(got, str) and (got.model, got.receiver, got.sink) == expected, (got, expected)
+
+
+@pytest.mark.parametrize("text", POINT_TEXTS + ASSIGNMENT_TEXTS, ids=range(len(POINT_TEXTS + ASSIGNMENT_TEXTS)))
+def test_listed_texts_match_regex_reference(text):
+    check_against_regex_reference(text)
+
+
+def test_regex_reference_sees_the_listed_tokens():
+    """The listed texts reach every verdict of the reference."""
+    points = [regex_points_outcome(t) for t in POINT_TEXTS]
+    assignments = [regex_assignment_outcome(t) for t in ASSIGNMENT_TEXTS]
+    for part in ["not a rational number", "duplicate 1D point", "not an index", "negative index", "point 1", "no sink"]:
+        assert any(isinstance(v, str) and part in v for v in points + assignments), part
+    assert any(isinstance(v, tuple) for v in points) and any(isinstance(v, tuple) for v in assignments)
+
+
+@settings(max_examples=400, deadline=None)
+@given(line_files())
+def test_drawn_files_match_regex_reference(text):
+    check_against_regex_reference(text)
+
+
+POINT_TOKENS = ["0", "7", "-3", "+1", "-0", "3/2", "-3/2", "+3/2", "6/4", "1/0", "0/5", "1.5", "-.5", "+.5", "5.",
+                ".", "1.5/2", "1e3", "1E3", "1_0", "٣", "²", "x", "nan", "inf", "--1", "1/-2", "1/+2", "/2", "1/"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(POINT_TOKENS), min_size=1, max_size=6), st.sampled_from(["\n", " # c\n", "\r\n"]))
+def test_drawn_point_files_match_regex_reference(tokens, end):
+    text = end.join(tokens) + end
+    check_against_regex_reference(text)
+    assert regex_points_outcome(text) is not None
