@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, isqrt, lcm
-from numbers import Rational
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InputError, InvariantError, echo
@@ -39,28 +38,27 @@ ASYM2D = "asym2d"
 SINKTREE1D = "sinktree1d"
 
 
+def _integer(token: str) -> int:
+    """The integer grammar of every file and CLI option: ASCII digits after an optional
+    '-'.  int() alone also reads '+', '_', spaces and Unicode digits."""
+    if token.isascii() and token.removeprefix("-").isdecimal():
+        return int(token)
+    raise ValueError("not an integer")
+
+
 def _ratio(value) -> tuple[int, int]:
-    """An int, a Fraction or a token as (numerator, denominator) in lowest terms;
-    tokens 'a' and 'a/b' of digits (a may have a '-') skip Fraction.  Refused:
-    non-ASCII characters (int() and Fraction read every Unicode digit),
-    exponent notation (its parse time grows with the exponent) and '_' (which
-    Fraction reads only from Python 3.11)."""
+    """An int, a Fraction or a token 'a' or 'a/b' as (numerator, denominator)
+    in lowest terms.  A token's a and b are read by `_integer` and b must be
+    positive, so tokens passed to the library follow the file grammar; any
+    other value without a numerator and denominator is refused."""
     try:
-        if type(value) is str:
-            if not value.isascii():
-                raise ValueError("non-ASCII")
-            if value.isdecimal():
-                return int(value), 1
-            num, slash, den = value.partition("/")
-            if (num[1:] if num[:1] == "-" else num).isdecimal() and (den.isdecimal() or not slash):
-                a, b = int(num), int(den) if slash else 1
-                g = gcd(a, b) if b else 0  # a zero denominator raises in a // g
-                return a // g, b // g
-            if "e" in value or "E" in value or "_" in value:
-                raise ValueError("exponent notation or '_'")
-        q = value if isinstance(value, Rational) else Fraction(value)
-        return q.numerator, q.denominator
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        if type(value) is not str:
+            return value.numerator, value.denominator
+        num, slash, den = value.partition("/")
+        a, b = _integer(num), _integer(den) if slash else 1
+        g = gcd(a, b) if b > 0 else 0  # a denominator <= 0 raises in a // g
+        return a // g, b // g
+    except (ValueError, ZeroDivisionError, AttributeError) as exc:
         raise InputError(f"not a rational number: {echo(value)}") from exc
 
 

@@ -1,19 +1,19 @@
 """Line-oriented text formats for instances, assignments, and grid graphs.
 
-Point file: one point per line, `#` starts a comment.  1D points are a single
-rational token (`a` or `a/b`, ASCII digits), 2D points are two.  Assignment file:
-header `model asym2d|sinktree1d`, an optional `sink <index>` line, then one
-`<from-index> <to-index>` line per edge.  Indices are 0-based positions in the
-sorted coordinate order (1D) or file order (2D).  Grid-graph file: one `x y`
-integer pair per line; edges are implicit between L1-distance-1 pairs.
+Point file: one point per line, `#` starts a comment.  1D points are one token
+`a` or `a/b` (b > 0) and 2D points two, where an integer is ASCII digits after
+an optional `-` (`model._integer`).  Assignment file: header `model
+asym2d|sinktree1d`, an optional `sink <index>` line, then one `<from> <to>`
+line per edge; indices are integers >= 0, positions in the sorted coordinate
+order (1D) or file order (2D).  Grid-graph file: one `x y` integer pair per
+line; edges are implicit between L1-distance-1 pairs.
 
 The files the 1D solve path writes are read whole: a point file of one integer
 per line (a 1D instance at scale 1) by one `int()` per line and one sort, and
 the edge lines of an assignment file by cutting each once at its space and
-reading both columns with `int()`.  Any other text (comments, blank lines,
-`a/b` or 2D lines, tabs, a `-`, `_` or non-ASCII character anywhere, a
-repeated index, a token `int()` refuses) goes to the line-by-line parser,
-which gives the same results and names the first error.
+reading both columns with `int()`, when the text is ASCII with no `+` or `_`
+(and an assignment no `-`), so `int()` reads only the grammar.  Any other text
+goes to the line-by-line parser, which gives the same results and errors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import InputError, echo
-from .model import ASYM2D, SINKTREE1D, Instance, Instance1D, Instance2D, ReceiverAssignment
+from .model import ASYM2D, SINKTREE1D, Instance, Instance1D, Instance2D, ReceiverAssignment, _integer
 
 
 def _rows(text: str, lines: Iterable[str]) -> Iterator[list[str]]:
@@ -40,11 +40,15 @@ def _content_lines(text: str) -> list[list[str]]:
     return list(_rows(text, text.splitlines()))
 
 
+def _int_reads_the_grammar(text: str) -> bool:  # int() also reads '+', '_' and Unicode digits
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def parse_points(text: str) -> Instance:
     """Parse a point file; the token count per line decides 1D vs 2D."""
     lines = text.splitlines()
     ints = None
-    if "_" not in text and text.isascii():  # int() reads `1_0` and `\u0663`, which points refuse
+    if _int_reads_the_grammar(text):
         try:  # a file of one integer per line, as format_points writes a 1D instance at scale 1
             ints = sorted(map(int, lines))
         except ValueError:
@@ -106,7 +110,7 @@ def parse_assignment(text: str) -> ReceiverAssignment:
     elif row:
         body.insert(0, " ".join(row))
     receiver = _read_edges(body)
-    if receiver is None or "-" in text or "_" in text or not text.isascii():  # format_assignment writes none
+    if receiver is None or "-" in text or not _int_reads_the_grammar(text):  # format_assignment writes no '-'
         receiver = _edge_rows(_rows(text, body))
     return ReceiverAssignment(model=model, receiver=receiver, sink=sink)
 
@@ -136,9 +140,7 @@ def _edge_rows(rows: Iterable[list[str]]) -> dict[int, int]:
 
 def _parse_index(tok: str) -> int:
     try:
-        if "_" in tok or not tok.isascii():  # int() reads `1_0` and `\u0661`, which indices refuse
-            raise ValueError(tok)
-        value = int(tok)
+        value = _integer(tok)
     except ValueError as exc:
         raise InputError(f"not an index: {echo(tok)}") from exc
     if value < 0:
@@ -168,9 +170,7 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
         if len(row) != 2:
             raise InputError("grid vertices are `x y` integer pairs")
         try:
-            if "_" in (pair := row[0] + row[1]) or not pair.isascii():  # int() reads `1_0` and `\u0661`
-                raise ValueError(row)
-            vertices.append((int(row[0]), int(row[1])))
+            vertices.append((_integer(row[0]), _integer(row[1])))
         except ValueError as exc:
             raise InputError(f"not an integer pair: {echo(' '.join(row))}") from exc
     if len(set(vertices)) != len(vertices):

@@ -380,6 +380,31 @@ def test_exit_code_unknown_flag(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen", "random", "٣", "--seed", "1_0", "--coord-max", "+9"), "argument parameter: invalid _integer value: '٣'"),
+        (("gen", "random", "5", "--seed", "1_0"), "argument --seed: invalid _integer value: '1_0'"),
+        (("gen", "random", "5", "--seed", "1", "--coord-max", "+9"), "argument --coord-max: invalid _integer value: '+9'"),
+        (("gen", "p", "2.0"), "argument parameter: invalid _integer value: '2.0'"),
+        (("gen", "loglower", " 3"), "argument parameter: invalid _integer value: ' 3'"),
+        (("solve", "--method", "oracle", "line4.txt", "--cap", "+5"), "argument --cap: invalid _integer value: '+5'"),
+    ],
+    ids=["gen-random-arabic-indic-digit", "seed-underscore", "coord-max-plus", "gen-p-decimal", "gen-space", "cap-plus"],
+)
+def test_integer_arguments_follow_the_file_grammar(tmp_path, argv, message):
+    (tmp_path / "line4.txt").write_text("0\n1\n2\n3\n")
+    code, out, err = run_process(*argv, cwd=tmp_path)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: interfmin ") and err.endswith(f"\nerror: {message}\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["line4.txt"]
+
+
+def test_integer_arguments_read_minus_zero_and_leading_zeros(capsys):
+    plain = run(capsys, "gen", "random", "3", "--seed", "0", "--coord-max", "7")
+    assert plain[0] == 0 and run(capsys, "gen", "random", "3", "--seed", "-0", "--coord-max", "007") == plain
+
+
 def test_dp_rejects_2d(tmp_path, capsys):
     inst = tmp_path / "tri.txt"
     inst.write_text("0 0\n1 0\n0 1\n")

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -775,18 +777,20 @@ RATIONAL_TOKENS = [
 ]
 
 
+RATIONAL_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_reference(token: str):
-    """Fraction(token), or the InputError message the lattice parse gives
-    when Fraction refuses the token or the token holds a non-ASCII character
-    (Fraction reads every Unicode digit), uses exponent notation or '_'
-    (which Fraction reads only from Python 3.11)."""
-    try:
-        if not token.isascii() or "e" in token or "E" in token or "_" in token:
-            raise ValueError("non-ASCII, exponent notation or '_'")
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
-        return f"not a rational number: {shown}"
+    """The token by the file grammar, written as a regular expression: `a` or
+    `a/b`, each an integer of ASCII digits after an optional '-', b > 0 and no
+    run of digits longer than int() reads; as a Fraction, or else the
+    InputError message the lattice parse gives."""
+    match = RATIONAL_TOKEN.fullmatch(token)
+    runs = [part.lstrip("-") for part in match.groups("1")] if match else []
+    if match and all(len(run) <= sys.get_int_max_str_digits() for run in runs) and int(runs[1]) > 0:
+        return Fraction(int(match[1]), int(runs[1]))
+    shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+    return f"not a rational number: {shown}"
 
 
 def rational_answer(token: str):

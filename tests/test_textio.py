@@ -110,6 +110,33 @@ def test_non_ascii_digits_are_refused(parse, text, message):
     assert str(info.value) == message
 
 
+NEWLY_REFUSED = [
+    *[pytest.param(parse_points, head + f"{token}\n2\n", f"not a rational number: {token!r}", id=f"point{where}{token}")
+      for token in ("+1", "1.5", ".5", "5.", "+3/2") for head, where in (("", " "), ("# c\n", " after comment "))],
+    pytest.param(parse_assignment, "model sinktree1d\nsink 0\n+1 0\n", "not an index: '+1'", id="edge +1"),
+    pytest.param(parse_assignment, "model sinktree1d\nsink +1\n0 1\n", "not an index: '+1'", id="sink +1"),
+    pytest.param(parse_grid, "0 0\n+1 0\n", "not an integer pair: '+1 0'", id="grid +1 0"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", NEWLY_REFUSED)
+def test_signed_and_decimal_tokens_are_refused(parse, text, message):
+    # A point is `a` or `a/b` and an index or grid coordinate an integer, of ASCII
+    # digits after an optional `-`; a `+` or a decimal point is refused on the
+    # whole-file path and the line-by-line path alike.
+    with pytest.raises(InputError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_minus_zero_and_leading_zeros_still_read():
+    assert parse_assignment("model sinktree1d\nsink -0\n1 -0\n") == ReceiverAssignment(SINKTREE1D, {1: 0}, 0)
+    assert parse_points("-3/2\n-0\n007\n").points == (Fraction(-3, 2), 0, 7)
+    assert parse_points("# c\n-3/2\n-0\n007\n").points == (Fraction(-3, 2), 0, 7)
+    assert parse_points("007\n-0\n").points == (0, 7)  # the whole-file read
+    assert parse_grid("-0 007\n1 -0\n") == [(0, 7), (1, 0)]
+
+
 def old_content_lines(text):
     """The line splitter as it was written before: strip, then split each line."""
     rows = []
@@ -291,8 +318,8 @@ LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\u2028", "\x85", " # note\n", "#\n"]
 
 
 @st.composite
-def line_files(draw):
-    lines = draw(st.lists(st.lists(st.sampled_from(TOKENS), max_size=3), max_size=6))
+def line_files(draw, min_tokens=0, max_tokens=3):
+    lines = draw(st.lists(st.lists(st.sampled_from(TOKENS), min_size=min_tokens, max_size=max_tokens), max_size=6))
     return "".join(
         draw(st.sampled_from(SEPARATORS)).join(tokens) + draw(st.sampled_from(LINE_ENDS)) for tokens in lines
     )
@@ -424,12 +451,13 @@ def test_format_points_refuses_more_digits_than_str_writes(instance):
 
 # A reference for the number tokens, written from the grammar with regular
 # expressions and the standard library only, so it shares no code with the
-# readers it checks.  It states what the readers accept today: a 1D point is
-# an optional sign and then `a`, `a/b` (b not zero), `a.b`, `.b` or `a.`; an
-# index is an optional `+` and digits, or `-` and zeros; both in ASCII digits,
-# with no run of digits longer than int() reads.
-POINT_TOKEN = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]*[1-9][0-9]*)?|[0-9]*\.[0-9]+|[0-9]+\.)")
-INDEX_TOKEN = re.compile(r"\+?[0-9]+|-0+")
+# readers it checks.  An integer is ASCII digits after an optional `-`; a 1D
+# point is `a` or `a/b` with b > 0; an index is an integer >= 0 (digits, or
+# `-` and zeros); a grid vertex is a pair of integers; and no run of digits is
+# longer than int() reads.
+POINT_TOKEN = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?")
+INDEX_TOKEN = re.compile(r"[0-9]+|-0+")
+INTEGER_TOKEN = re.compile(r"-?[0-9]+")
 NEGATIVE_INDEX_TOKEN = re.compile(r"-[0-9]*[1-9][0-9]*")
 
 
@@ -502,7 +530,34 @@ def regex_assignment_outcome(text):
     return model, receiver, sink
 
 
+def regex_grid_outcome(text):
+    """What parse_grid gives, by the integer regex."""
+    rows = old_content_lines(text)
+    if not rows:
+        return "InputError: grid file contains no vertices"
+    vertices = []
+    for row in rows:
+        if len(row) != 2:
+            return "InputError: grid vertices are `x y` integer pairs"
+        if not all(INTEGER_TOKEN.fullmatch(token) and digit_runs_fit(token) for token in row):
+            return f"InputError: not an integer pair: {quoted(' '.join(row))}"
+        vertices.append((int(row[0]), int(row[1])))
+    if len(set(vertices)) < len(vertices):
+        return "InputError: duplicate grid vertex"
+    return vertices
+
+
+def check_grid_against_regex_reference(text):
+    expected = regex_grid_outcome(text)
+    got = outcome(parse_grid, text)
+    if isinstance(expected, str):
+        assert isinstance(got, str) and got.startswith(expected), (got, expected)
+    else:
+        assert got == expected, (got, expected)
+
+
 def check_against_regex_reference(text):
+    check_grid_against_regex_reference(text)
     expected = regex_points_outcome(text)
     got = outcome(parse_points, text)
     if isinstance(expected, str):
@@ -518,7 +573,22 @@ def check_against_regex_reference(text):
             assert not isinstance(got, str) and (got.model, got.receiver, got.sink) == expected, (got, expected)
 
 
-@pytest.mark.parametrize("text", POINT_TEXTS + ASSIGNMENT_TEXTS, ids=range(len(POINT_TEXTS + ASSIGNMENT_TEXTS)))
+GRID_TEXTS = [
+    "0 0\n1 0\n",
+    "007 -3\n-0 0 # c\n",
+    "0 0\n-0 0\n",
+    "0 0\n+1 0\n",
+    "0 0\n1 -1.5\n",
+    "0 0\n1 1/1\n",
+    "0 0\n1 0 2\n",
+    "0 0\n" + "1" * 4301 + " 0\n",
+    "0 0\n" + "1" * 4300 + " 0\n",
+]
+
+LISTED_TEXTS = POINT_TEXTS + ASSIGNMENT_TEXTS + GRID_TEXTS
+
+
+@pytest.mark.parametrize("text", LISTED_TEXTS, ids=range(len(LISTED_TEXTS)))
 def test_listed_texts_match_regex_reference(text):
     check_against_regex_reference(text)
 
@@ -527,15 +597,24 @@ def test_regex_reference_sees_the_listed_tokens():
     """The listed texts reach every verdict of the reference."""
     points = [regex_points_outcome(t) for t in POINT_TEXTS]
     assignments = [regex_assignment_outcome(t) for t in ASSIGNMENT_TEXTS]
-    for part in ["not a rational number", "duplicate 1D point", "not an index", "negative index", "point 1", "no sink"]:
-        assert any(isinstance(v, str) and part in v for v in points + assignments), part
+    grids = [regex_grid_outcome(t) for t in LISTED_TEXTS]
+    for part in ["not a rational number", "duplicate 1D point", "not an index", "negative index", "point 1", "no sink",
+                 "no vertices", "integer pairs", "not an integer pair", "duplicate grid vertex"]:
+        assert any(isinstance(v, str) and part in v for v in points + assignments + grids), part
     assert any(isinstance(v, tuple) for v in points) and any(isinstance(v, tuple) for v in assignments)
+    assert any(isinstance(v, list) for v in grids)
 
 
 @settings(max_examples=400, deadline=None)
 @given(line_files())
 def test_drawn_files_match_regex_reference(text):
     check_against_regex_reference(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(line_files(min_tokens=2, max_tokens=2))
+def test_drawn_grid_files_match_regex_reference(text):
+    check_grid_against_regex_reference(text)
 
 
 POINT_TOKENS = ["0", "7", "-3", "+1", "-0", "3/2", "-3/2", "+3/2", "6/4", "1/0", "0/5", "1.5", "-.5", "+.5", "5.",
