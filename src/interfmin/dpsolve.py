@@ -32,35 +32,34 @@ run of indices around its center, so every extra covers the root: an
 option's root coverage is that of its base set (inherited ranges plus the
 edge to the root) plus its number of extras.  Each side's options form a
 stream, in ascending coverage level and ascending child root within a level,
-cached as a replayable tee that is never advanced itself: a pair loop reads
-a copy of it, so an option is built on its first read and buffered for
-every later reader, and options no pair reaches are never built.  Each
-option carries the floor of its child key without incoming ranges (they only
-add coverage): per side the inherited ranges, per child root its edge, per
-option its extras, each in place of its center's least ball.  Once a pair's
-root coverage exceeds the ceiling (the limit or the best value so far), the
-pairs after it in that order are not read.  A pair whose root coverage
-equals the best value can only win that value's tie-break on the encoding,
-so it is settled before any child key is built: on the left child root and
-then the left key, or, without a left side, on the right child root and
-outgoing set (the right side's incoming ranges are then the same for every
-pair).  Options list child roots in ascending order within a coverage level,
-so the first tie with a larger root ends the inner loop.  Only then is a
-pair with an option floor above the ceiling skipped (gated): its child could
-only score above it.  Only a gated pair, or a pair or a child value cut at
-the limit, marks the result as a lower bound rather than infeasible; a side
-with no option makes the key infeasible at every limit.  A split whose child
-value exceeds the best so far (minus one if it would lose the tie-break on
-its encoding) is dropped too.  The winner is the least (value, encoding)
-over the feasible splits, and distinct splits have distinct encodings, so it
-does not depend on the visiting order: an unlimited search picks it too.
+cached as a replayable tee that pair loops read through copies, so an option
+is built on its first read and kept.  Each option carries the floor of its
+child key without incoming ranges (they only add coverage), and a stream
+holds only the options whose floor is at most the limit of the deepening
+pass that built it; extras only raise the floor, so each grows a kept option
+by one extra.  Once a pair's root coverage exceeds the ceiling (the limit or
+the best value so far), the pairs after it are not read.  A pair whose root
+coverage equals the best value can only win that value's tie-break on the
+encoding, so it is settled before any child key is built: on the left child
+root and key or, without a left side, on the right child root and outgoing
+set; the first tie with a larger root ends the inner loop.  Only then is a
+pair with an option floor above the ceiling skipped (gated).  A gated pair,
+a dropped option (its stream ends in an option past every ceiling) or a pair
+or a child value cut at the limit marks the result as a lower bound rather
+than infeasible; a side with no option makes the key infeasible at every
+limit.  A split whose child value exceeds the best so far (minus one if it
+would lose the tie-break on its encoding) is skipped too.  The winner is the
+least (value, encoding) over the feasible splits, and distinct splits have
+distinct encodings, so it does not depend on the visiting order: an
+unlimited search picks it too.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product, tee
+from itertools import accumulate, groupby, product, tee
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import InputError, InvariantError
@@ -84,10 +83,9 @@ INFEASIBLE = 1 << 62
 _BOUND = "bound"
 
 # Largest n the DP solvers accept by default, so none runs for seconds: both
-# solvers together take at most 0.29-0.66 s on the n <= 15 probes (random
-# seeds 1-10, worst seed 4; LogLower) and 1.0-1.3 s on gen_p(4) =
-# LogLower(16) (2 cores, Python 3.11).
-DEFAULT_CAP_DP = 15
+# solvers together take at most 0.48-0.63 s at n = 18 and 0.58-0.75 s at n = 19
+# over random seeds 1-10 and LogLower, the worst at each n (2 cores, Python 3.11).
+DEFAULT_CAP_DP = 18
 
 
 @dataclass
@@ -96,7 +94,8 @@ class DpStats:
     memo_hits: int = 0
     split_pairs: int = 0  # splits whose child subproblems were assembled
     gated_pairs: int = 0  # splits skipped because an option's floor passed the ceiling
-    side_options: int = 0  # side options built
+    side_options: int = 0  # side options read by split loops
+    dropped_options: int = 0  # side options built and dropped: their floor passed the pass limit
 
 
 # The one option of an empty side: no child, no ranges, no coverage, no floor.
@@ -115,33 +114,56 @@ def _put(depth: list[int], lo: int, hi: int, span, ball: tuple[int, int]) -> Non
     depth[b - lo + 1 if b < hi else -1] -= 1
 
 
-def _option_stream(stats: DpStats, cover, lo: int, hi: int, held_depth: list[int], spans, roots: list, candidates):
+def _option_stream(
+    stats: DpStats, cover, lo: int, hi: int, held_depth: list[int], spans, roots: list, candidates, limit: int
+):
     """(child root, outgoing set, root coverage, floor) for every option of
-    the side [lo, hi] grown from roots, one coverage level at a time, counted
-    in stats as it is built.  The floor is that of the option's child key
-    without incoming ranges: held_depth with the child root's new edge (at its
-    first option) and the picks in place of their centers' least balls."""
-    depths = {}
+    the side [lo, hi] grown from roots with a floor at most limit, by coverage
+    level and counted in stats as read, then one past every ceiling if any was
+    dropped.  The floor is that of the option's child key without incoming
+    ranges; a pick only adds one on its ball outside its center's least ball."""
+    live = {}  # child root -> its last level's live pick sets: (picks, their centers' indices, depth)
+    dropped = 0
     top = max((root[2] + root[4] for root in roots), default=-1)
     for level in range(top + 1):
         for child_root, base, base_cov, centers, most, edge in roots:
             count = level - base_cov
             if count == 0:
-                depth = depths[child_root] = held_depth.copy()
+                depth = held_depth.copy()
                 if edge is not None:  # else the held edge already replaced the ball
                     _put(depth, lo, hi, spans[child_root - lo], cover[child_root][edge.boundary])
+                floor = max(accumulate(depth))
+                if floor > limit:
+                    dropped += 1
+                    stats.dropped_options += 1
+                    continue
+                live[child_root] = [((), (), depth)]
                 stats.side_options += 1
-                yield child_root, base, level, max(accumulate(depth))
-            elif 0 < count <= most:
-                depth = depths[child_root]
-                for chosen in combinations(centers, count):
-                    for picks in product(*(candidates[c] for c in chosen)):
-                        picked = depth.copy()
-                        for c, q in picks:
-                            _put(picked, lo, hi, spans[c - lo], cover[c][q])
-                        stats.side_options += 1
-                        # picks are centered off the base's centers: no duplicates
-                        yield child_root, tuple(sorted(base + picks)), level, max(accumulate(picked))
+                yield child_root, base, level, floor
+            elif 0 < count <= most and child_root in live:
+                parents, grown = live[child_root], []
+                live[child_root] = grown
+                # A live set less its last pick is live (a pick only raises the
+                # floor). Parents come in (centers, candidates) order, and so do
+                # the sets grown from a group of equal centers, a center at a time.
+                for chosen, group in groupby(parents, itemgetter(1)):
+                    group = [(picks, depth, list(accumulate(depth))) for picks, _, depth in group]
+                    for i in range(chosen[-1] + 1 if chosen else 0, len(centers)):
+                        (a0, b0), row = spans[centers[i] - lo], cover[centers[i]]
+                        for (picks, depth, profile), pick in product(group, candidates[centers[i]]):
+                            a, b = row[pick.boundary]
+                            if limit in profile[max(a, lo) - lo : a0] or limit in profile[b0 : min(b, hi) - lo + 1]:
+                                dropped += 1
+                                stats.dropped_options += 1
+                                continue
+                            picked = depth.copy()
+                            _put(picked, lo, hi, (a0, b0), (a, b))
+                            grown.append((picks + (pick,), chosen + (i,), picked))
+                            stats.side_options += 1
+                            # picks are centered off the base's centers: no duplicates
+                            yield child_root, tuple(sorted(base + picks + (pick,))), level, max(accumulate(picked))
+    if dropped:
+        yield None, (), INFEASIBLE, INFEASIBLE  # a split loop that reaches it is cut
 
 
 class _Solver:
@@ -157,8 +179,10 @@ class _Solver:
         # later geometry runs on these integer intervals.
         self.cover = cover_table(instance)
         # Each side's options as a tee that is never advanced: pair loops read
-        # copies of it, so an option is built on its first read and kept.
+        # copies of it, so an option is built on its first read and kept.  Only
+        # options with floors up to pass_limit, the deepening limit, are built.
         self._side_cache: dict[tuple, Iterator] = {}
+        self.pass_limit = INFEASIBLE
         self._profiles: dict[tuple[int, int], tuple[list[int], list[tuple[int, int]]]] = {}
 
     def solve(self, key: Key, limit: int = INFEASIBLE) -> int:
@@ -348,7 +372,7 @@ class _Solver:
             most = min(len(centers), self.bound - len(base))
             if most >= 0:
                 roots.append((child_root, base, base_cov, centers, most, None if edge in held else edge))
-        stream = _option_stream(self.stats, cover, lo, hi, held_depth, spans, roots, candidates)
+        stream = _option_stream(self.stats, cover, lo, hi, held_depth, spans, roots, candidates, self.pass_limit)
         side = self._side_cache[cache_key] = tee(stream, 1)[0]
         return side
 
@@ -360,9 +384,10 @@ class _Solver:
         candidates: dict[int, list[Range]] = {}
         for center in range(lo, hi + 1):
             row = self.cover[center]
-            for boundary in range(lo, hi + 1):
+            # the root borders the side: only a boundary past the center, away from the root, reaches it
+            for boundary in range(lo, center) if lo == sub_lo else range(center + 1, hi + 1):
                 a, b = row[boundary]
-                if boundary != center and (a < lo or b > hi) and sub_lo <= a and b <= sub_hi:
+                if (a < lo or b > hi) and sub_lo <= a and b <= sub_hi:
                     candidates.setdefault(center, []).append(Range(center, boundary))
         return candidates
 
@@ -403,6 +428,9 @@ def _best_root(solver: _Solver, limit: int) -> OracleResult | None:
     """The least value over all roots if it is at most limit, with a verified
     witness rooted at the lowest root attaining it; None otherwise."""
     n = solver.instance.n
+    if limit > solver.pass_limit:
+        solver._side_cache.clear()
+    solver.pass_limit = limit
     best, best_key = INFEASIBLE, None
     for root in range(n):
         key = (0, n - 1, root, (), ())

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import CapExceededError, InputError, InvariantError
+from .errors import CapExceededError, InputError, InvariantError, echo
 from .model import ASYM2D, Instance2D, ReceiverAssignment, communication_graph_2d
-from .model import _reach, dist2, in_balls, lattice
+from .model import _integer, _reach, dist2, in_balls, lattice
 
 Vertex = tuple[int, int]
 
@@ -63,7 +63,7 @@ class GridGraph:
 
     @classmethod
     def from_vertices(cls, vertices) -> "GridGraph":
-        return cls(tuple(sorted((int(x), int(y)) for x, y in vertices)))
+        return cls(tuple(sorted((_coordinate(x), _coordinate(y)) for x, y in vertices)))
 
     @cached_property
     def _present(self) -> frozenset[Vertex]:
@@ -82,6 +82,17 @@ class GridGraph:
         index = {v: i for i, v in enumerate(self.vertices)}
         adj = [[index[w] for w in self.neighbors(v)] for v in self.vertices]
         return len(_reach(adj, 0)) == len(adj)  # grid edges are symmetric
+
+
+def _coordinate(value) -> int:
+    """A grid coordinate from a library caller: a str by the integer grammar, else a number equal to an int."""
+    try:
+        number = _integer(value) if type(value) is str else int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value and type(value) is not str:
+        raise InputError(f"not an integer coordinate: {echo(value)}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -318,11 +329,11 @@ def find_ham_path(grid: GridGraph, cap: int = FIND_HAM_PATH_CAP) -> list[Vertex]
     return None
 
 
-def _path_edges(grid: GridGraph, path: list[Vertex]) -> set[frozenset]:
+def _path_edges(grid_vertices: tuple[Vertex, ...], path: list[Vertex]) -> set[frozenset]:
     vertices = list(path)
-    if len(vertices) == len(grid.vertices) + 1 and vertices[0] == vertices[-1]:
+    if len(vertices) == len(grid_vertices) + 1 and vertices[0] == vertices[-1]:
         vertices = vertices[:-1]  # accept a Hamiltonian cycle, dropping the closing edge
-    if sorted(vertices) != sorted(grid.vertices):
+    if sorted(vertices) != sorted(grid_vertices):
         raise InputError("not a Hamiltonian path: must visit every vertex exactly once")
     for u, w in zip(vertices, vertices[1:]):
         if abs(u[0] - w[0]) + abs(u[1] - w[1]) != 1:
@@ -332,7 +343,7 @@ def _path_edges(grid: GridGraph, path: list[Vertex]) -> set[frozenset]:
 
 def assignment_from_ham_path(red: ReductionOutput, path: list[Vertex]) -> ReceiverAssignment:
     """Receiver assignment with interference exactly 5 encoding the given path."""
-    on_path = _path_edges(GridGraph.from_vertices(red.vertices), path)
+    on_path = _path_edges(red.vertices, path)
     receiver: dict[int, int] = {}
     for v in red.vertices:
         idx = {role: red.index_of(v, role) for role in ROLE_ORDER}

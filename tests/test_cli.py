@@ -345,8 +345,8 @@ def test_solve_stats_shows_split_pairs(tmp_path, capsys):
         code, out, _ = run(capsys, "solve", "--method", method, str(inst), "--stats")
         assert code == 0
         lines = out.splitlines()
-        assert stats.split_pairs > 0 and stats.gated_pairs > 0 and stats.side_options > 0
-        for name in ("gated_pairs", "memo_hits", "split_pairs", "side_options", "subproblems"):
+        assert stats.split_pairs > 0 and stats.dropped_options > 0 and stats.side_options > 0
+        for name in ("dropped_options", "gated_pairs", "memo_hits", "split_pairs", "side_options", "subproblems"):
             assert f"{name}: {getattr(stats, name)}" in lines, (method, name)
 
 

@@ -330,6 +330,42 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
     assert sides > 400
 
 
+def test_live_side_options_are_the_full_list_up_to_the_pass_limit():
+    # At pass limit L a stream holds the options of the full list whose floor
+    # is at most L, in the order of the full list stably sorted by (coverage,
+    # child root), then one option past every ceiling if it dropped any.
+    rng = random.Random(5150)
+    sides = dropped = 0
+    for _ in range(16):
+        n = rng.randint(3, 7)
+        inst = Instance1D.from_values(rng.sample(range(0, 101), n))
+        bound = size_bound(n)
+        reference = _Solver(inst, bound)
+        optimum = min(reference.solve((0, n - 1, root, (), ())) for root in range(n))
+        for key in sorted(exact_entries(reference), key=repr)[::2]:
+            key_lo, key_hi, root = key[:3]
+            for lo, hi in ((key_lo, root - 1), (root + 1, key_hi)):
+                if lo > hi:
+                    continue
+                full = []
+                for r, out in full_side_options(reference, key, lo, hi):
+                    coverage = sum(1 for ball in out if covers(reference, ball, root))
+                    full.append((r, out, coverage, reference_floor(reference, (lo, hi, r, (), out))))
+                full.sort(key=lambda option: (option[2], option[0]))
+                for limit in range(1, optimum + 1):
+                    solver = _Solver(inst, bound)
+                    solver.pass_limit = limit
+                    options, _ = read_side_options(solver, key, lo, hi, INFEASIBLE)
+                    want = [option for option in full if option[3] <= limit]
+                    tail = [(None, (), INFEASIBLE, INFEASIBLE)] if len(want) < len(full) else []
+                    assert options == want + tail, (inst.points, key, limit)
+                    assert solver.stats.side_options == len(want)
+                    assert solver.stats.dropped_options > 0 if tail else solver.stats.dropped_options == 0
+                    dropped += bool(tail)
+                sides += 1
+    assert sides > 400 and dropped > 100
+
+
 # sha256 over (n, seed, optimum, sink, receiver map) from solve_exact and
 # solve_opt_search on random_instance_1d(n, seed, 100), n = 2..9, seeds 1..5,
 # recorded before splits were visited in order of root coverage.
@@ -428,8 +464,9 @@ def test_coverage_floor_is_a_lower_bound():
     # search memoizes for it; many inner keys meet it exactly.
     # The floor equals the point-by-point reference on every key, those the
     # deepening search cut by their floor included.  Pairs the deepening
-    # search gated on an option's floor count as cuts too: the floors of their
-    # child keys passed the limit before those keys were built.
+    # search gated on an option's floor, and the options it dropped, count as
+    # cuts too: the floors of their child keys passed the limit before those
+    # keys were built.
     rng = random.Random(8128)
     keys = tight = cut = 0
     for _ in range(40):
@@ -452,15 +489,17 @@ def test_coverage_floor_is_a_lower_bound():
         for key, (_, choice) in deepening.memo.items():
             assert deepening.floor(key) == reference_floor(deepening, key), (inst.points, key)
             cut += choice is _BOUND
-        cut += deepening.stats.gated_pairs
+        cut += deepening.stats.gated_pairs + deepening.stats.dropped_options
     assert keys > 4000 and tight > 1000 and cut > 1000
 
 
 @pytest.mark.parametrize("n, seed", [(12, 7), (15, 4)])
 def test_cut_keys_passed_the_limit(n, seed):
-    # A computed key goes to the lower bounds only when a pair's coverage or a
-    # child's value passed the limit, so each side offered an option; a side
-    # without one makes the key infeasible at every limit.
+    # A computed key goes to the lower bounds only when a pair's coverage, an
+    # option's floor or a child's value passed the limit, so at the pass limit
+    # each side offered an option or dropped one (its stream then ends in an
+    # option past every ceiling); a side without either makes the key
+    # infeasible at every limit.
     inst = random_instance_1d(n, seed, 100)
     solver = _Solver(inst, size_bound(n))
     for limit in range(1, n):
@@ -468,10 +507,16 @@ def test_cut_keys_passed_the_limit(n, seed):
             break
     computed = [key for key, (bound, choice) in solver.memo.items() if choice is _BOUND and solver.floor(key) < bound]
     assert computed
+    dropped = 0
     for key in computed:
         lo, hi, root = key[:3]
-        for side in (solver._side(key, lo, root - 1), solver._side(key, root + 1, hi)):
-            assert next(copy(side), None) is not None, (n, seed, key)
+        at_limit = _Solver(inst, size_bound(n))
+        at_limit.pass_limit = solver.memo[key][0] - 1
+        for side in (at_limit._side(key, lo, root - 1), at_limit._side(key, root + 1, hi)):
+            options = list(copy(side))
+            assert options, (n, seed, key)
+            dropped += options[-1][2] == INFEASIBLE
+    assert dropped
 
 
 def test_deepening_subproblem_gate_n12():
@@ -511,10 +556,20 @@ def test_dp_search_counters_golden_digest():
 
 def test_side_options_built_on_demand_n15():
     # Hardware-independent: 204126 options when every option of a coverage
-    # level was built at once.
+    # level was built at once.  A pair is still gated when an option's floor
+    # passes a ceiling below the pass limit.
     stats = DpStats()
     assert solve_exact(random_instance_1d(15, 4, 100), stats, cap=15).optimum == 4
     assert stats.side_options <= 40000
+    assert stats.gated_pairs > 0
+
+
+def test_live_side_options_reach_n24():
+    # Hardware-independent: 624997 options, 97.9% of them with a floor above
+    # the optimum, when every option a split loop reached was built.
+    stats = DpStats()
+    assert solve_exact(random_instance_1d(24, 7, 100), stats, cap=24).optimum == 4
+    assert stats.side_options <= 5000
 
 
 def test_dp_solvers_leave_nothing_for_the_cycle_collector():

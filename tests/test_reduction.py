@@ -117,6 +117,18 @@ def test_reduce_input_validation():
         reduce_grid(degree4)
 
 
+def test_from_vertices_reads_the_integer_grammar():
+    # A str coordinate is read by the integer grammar and any other must equal
+    # an int: int() alone read '٣' as 3, '+2' and ' 0 ' as 2 and 0, and
+    # truncated 1.9 to 1.
+    for vertex in (("٣", "0"), ("+2", " 0 "), (1.9, 0), ("1_0", 0), (None, 0), (float("inf"), 0)):
+        with pytest.raises(InputError, match="not an integer coordinate"):
+            GridGraph.from_vertices([(0, 0), vertex])
+    grid = GridGraph.from_vertices([("-1", "007"), (0.0, Fraction(14, 2)), (1, 7)])
+    assert grid.vertices == ((-1, 7), (0, 7), (1, 7))
+    assert all(type(c) is int for v in grid.vertices for c in v)
+
+
 def union_find_connected(vertices):
     """Reference connectivity: union-find over the unit grid edges."""
     root = {v: v for v in vertices}
