@@ -49,25 +49,25 @@ def _build_parser() -> _Parser:
     gen_sub = gen.add_subparsers(dest="family", required=True)
     for fam in ("p", "q"):
         sp = gen_sub.add_parser(fam)
-        sp.add_argument("parameter", type=model._integer)
+        sp.add_argument("parameter", type=model.integer)
         sp.add_argument("-o", "--out")
         sp.add_argument("--with-witness", action="store_true")
         if fam == "p":
             sp.add_argument("--side", choices=("left", "right"), default="left")
     sp = gen_sub.add_parser("loglower")
-    sp.add_argument("parameter", type=model._integer)
+    sp.add_argument("parameter", type=model.integer)
     sp.add_argument("-o", "--out")
     sp = gen_sub.add_parser("random")
-    sp.add_argument("parameter", type=model._integer)
-    sp.add_argument("--seed", type=model._integer, required=True)
-    sp.add_argument("--coord-max", type=model._integer, default=100)
+    sp.add_argument("parameter", type=model.integer)
+    sp.add_argument("--seed", type=model.integer, required=True)
+    sp.add_argument("--coord-max", type=model.integer, default=100)
     sp.add_argument("-o", "--out")
 
     solve = sub.add_parser("solve", help="run a solver on a 1D or 2D instance")
     solve.add_argument("--method", required=True, choices=("oracle", "dp", "dp-optsearch", "nna"))
     solve.add_argument("instance")
     solve.add_argument("--witness-out")
-    solve.add_argument("--cap", type=model._integer, help="largest n the oracle and dp solvers accept")
+    solve.add_argument("--cap", type=model.integer, help="largest n the oracle and dp solvers accept")
     solve.add_argument("--stats", action="store_true")
     solve.add_argument("--trace", action="store_true", help="print per-round partitions (nna)")
     solve.add_argument("--dot", help="write the witness communication graph (2D only)")

@@ -38,7 +38,7 @@ ASYM2D = "asym2d"
 SINKTREE1D = "sinktree1d"
 
 
-def _integer(token: str) -> int:
+def integer(token: str) -> int:
     """The integer grammar of every file and CLI option: ASCII digits after an optional
     '-'.  int() alone also reads '+', '_', spaces and Unicode digits."""
     if token.isascii() and token.removeprefix("-").isdecimal():
@@ -48,14 +48,14 @@ def _integer(token: str) -> int:
 
 def _ratio(value) -> tuple[int, int]:
     """An int, a Fraction or a token 'a' or 'a/b' as (numerator, denominator)
-    in lowest terms.  A token's a and b are read by `_integer` and b must be
+    in lowest terms.  A token's a and b are read by `integer` and b must be
     positive, so tokens passed to the library follow the file grammar; any
     other value without a numerator and denominator is refused."""
     try:
         if type(value) is not str:
             return value.numerator, value.denominator
         num, slash, den = value.partition("/")
-        a, b = _integer(num), _integer(den) if slash else 1
+        a, b = integer(num), integer(den) if slash else 1
         g = gcd(a, b) if b > 0 else 0  # a denominator <= 0 raises in a // g
         return a // g, b // g
     except (ValueError, ZeroDivisionError, AttributeError) as exc:
@@ -375,33 +375,31 @@ def _valid_tree_order(instance: Instance1D, assignment: ReceiverAssignment) -> l
     return order
 
 
-def descendant_masks(instance: Instance1D, assignment: ReceiverAssignment) -> list[int]:
-    """Bitmask of descendants per point (each point is its own descendant)."""
-    order = _valid_tree_order(instance, assignment)
-    masks = [1 << p for p in range(instance.n)]
-    # Walking the tree order backwards completes each point's mask before
-    # its receiver's.
-    for p in reversed(order[1:]):
-        masks[assignment.receiver[p]] |= masks[p]
-    return masks
-
-
-def _span_mask(lo: int, hi: int) -> int:
-    return ((1 << (hi - lo + 1)) - 1) << lo
-
-
 def cross_edges(instance: Instance1D, assignment: ReceiverAssignment) -> list[tuple[int, int]]:
-    """Edges whose open interval contains a point that is not a descendant of the tail."""
-    masks = descendant_masks(instance, assignment)
-    result = []
-    for p in sorted(assignment.receiver):
-        q = assignment.receiver[p]
-        lo, hi = min(p, q), max(p, q)
-        if hi - lo >= 2:
-            between = _span_mask(lo + 1, hi - 1)
-            if between & ~masks[p]:
-                result.append((p, q))
-    return result
+    """Edges whose open interval contains a point that is not a descendant of the tail:
+    the non-descendants of p are the points before p in either of two preorder walks
+    from the sink that take each point's children in opposite orders, so p -> q crosses
+    when, in some walk, the nearest point to p towards q ranked below p is not q."""
+    n = len(_valid_tree_order(instance, assignment))
+    receiver = assignment.receiver
+    children: list[list[int]] = [[] for _ in range(n)]
+    for p, q in receiver.items():
+        children[q].append(p)
+    crossing = [False] * n
+    for forward in (True, False):
+        rank, todo = [0] * n + [-1], [assignment.sink]  # rank[-1] = -1: below every point
+        for i in range(n):
+            v = todo.pop()
+            rank[v] = i
+            todo += children[v] if forward else reversed(children[v])
+        stack = [-1]  # -1, then each point left of r ranked below all points between it and r
+        for r in range(n):
+            while rank[stack[-1]] > rank[r]:
+                p = stack.pop()  # r is the nearest point right of p ranked below p
+                crossing[p] |= r < receiver[p]
+            crossing[r] |= receiver.get(r, n) < stack[-1]  # stack[-1]: nearest left of r ranked below r
+            stack.append(r)
+    return [(p, receiver[p]) for p in range(n) if crossing[p]]
 
 
 def has_bst_property(instance: Instance1D, assignment: ReceiverAssignment) -> bool:

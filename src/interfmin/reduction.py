@@ -31,7 +31,7 @@ from functools import cached_property
 
 from .errors import CapExceededError, InputError, InvariantError, echo
 from .model import ASYM2D, Instance2D, ReceiverAssignment, communication_graph_2d
-from .model import _integer, _reach, dist2, in_balls, lattice
+from .model import _reach, dist2, in_balls, integer, lattice
 
 Vertex = tuple[int, int]
 
@@ -87,7 +87,7 @@ class GridGraph:
 def _coordinate(value) -> int:
     """A grid coordinate from a library caller: a str by the integer grammar, else a number equal to an int."""
     try:
-        number = _integer(value) if type(value) is str else int(value)
+        number = integer(value) if type(value) is str else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value and type(value) is not str:

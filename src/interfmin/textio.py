@@ -2,7 +2,7 @@
 
 Point file: one point per line, `#` starts a comment.  1D points are one token
 `a` or `a/b` (b > 0) and 2D points two, where an integer is ASCII digits after
-an optional `-` (`model._integer`).  Assignment file: header `model
+an optional `-` (`model.integer`).  Assignment file: header `model
 asym2d|sinktree1d`, an optional `sink <index>` line, then one `<from> <to>`
 line per edge; indices are integers >= 0, positions in the sorted coordinate
 order (1D) or file order (2D).  Grid-graph file: one `x y` integer pair per
@@ -24,7 +24,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import InputError, echo
-from .model import ASYM2D, SINKTREE1D, Instance, Instance1D, Instance2D, ReceiverAssignment, _integer
+from .model import ASYM2D, SINKTREE1D, Instance, Instance1D, Instance2D, ReceiverAssignment, integer
 
 
 def _rows(text: str, lines: Iterable[str]) -> Iterator[list[str]]:
@@ -140,7 +140,7 @@ def _edge_rows(rows: Iterable[list[str]]) -> dict[int, int]:
 
 def _parse_index(tok: str) -> int:
     try:
-        value = _integer(tok)
+        value = integer(tok)
     except ValueError as exc:
         raise InputError(f"not an index: {echo(tok)}") from exc
     if value < 0:
@@ -170,7 +170,7 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
         if len(row) != 2:
             raise InputError("grid vertices are `x y` integer pairs")
         try:
-            vertices.append((_integer(row[0]), _integer(row[1])))
+            vertices.append((integer(row[0]), integer(row[1])))
         except ValueError as exc:
             raise InputError(f"not an integer pair: {echo(' '.join(row))}") from exc
     if len(set(vertices)) != len(vertices):

@@ -383,12 +383,12 @@ def test_exit_code_unknown_flag(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("gen", "random", "٣", "--seed", "1_0", "--coord-max", "+9"), "argument parameter: invalid _integer value: '٣'"),
-        (("gen", "random", "5", "--seed", "1_0"), "argument --seed: invalid _integer value: '1_0'"),
-        (("gen", "random", "5", "--seed", "1", "--coord-max", "+9"), "argument --coord-max: invalid _integer value: '+9'"),
-        (("gen", "p", "2.0"), "argument parameter: invalid _integer value: '2.0'"),
-        (("gen", "loglower", " 3"), "argument parameter: invalid _integer value: ' 3'"),
-        (("solve", "--method", "oracle", "line4.txt", "--cap", "+5"), "argument --cap: invalid _integer value: '+5'"),
+        (("gen", "random", "٣", "--seed", "1_0", "--coord-max", "+9"), "argument parameter: invalid integer value: '٣'"),
+        (("gen", "random", "5", "--seed", "1_0"), "argument --seed: invalid integer value: '1_0'"),
+        (("gen", "random", "5", "--seed", "1", "--coord-max", "+9"), "argument --coord-max: invalid integer value: '+9'"),
+        (("gen", "p", "2.0"), "argument parameter: invalid integer value: '2.0'"),
+        (("gen", "loglower", " 3"), "argument parameter: invalid integer value: ' 3'"),
+        (("solve", "--method", "oracle", "line4.txt", "--cap", "+5"), "argument --cap: invalid integer value: '+5'"),
     ],
     ids=["gen-random-arabic-indic-digit", "seed-underscore", "coord-max-plus", "gen-p-decimal", "gen-space", "cap-plus"],
 )

@@ -25,7 +25,6 @@ from interfmin.model import (
     cover_table,
     coverage_counts,
     cross_edges,
-    descendant_masks,
     has_bst_property,
     interference,
     interference_at,
@@ -144,6 +143,61 @@ def test_cross_edges():
         cross_edges(inst, ReceiverAssignment(SINKTREE1D, {0: 1, 1: 0}, 2))
 
 
+def reference_descendant_masks(n, assignment):
+    """Reference: bitmask of descendants per point (each point is its own
+    descendant), each point ORed into every receiver up its chain."""
+    masks = [0] * n
+    for p in range(n):
+        v = p
+        while True:
+            masks[v] |= 1 << p
+            if v == assignment.sink:
+                break
+            v = assignment.receiver[v]
+    return masks
+
+
+def reference_cross_edges(n, assignment):
+    """Reference: edges whose open interval holds a bit missing from the
+    tail's descendant mask."""
+    masks = reference_descendant_masks(n, assignment)
+    result = []
+    for p in sorted(assignment.receiver):
+        q = assignment.receiver[p]
+        lo, hi = min(p, q), max(p, q)
+        between = ((1 << (hi - lo - 1)) - 1) << (lo + 1)
+        if between & ~masks[p]:
+            result.append((p, q))
+    return result
+
+
+def windowed_random_tree(rng, n, window):
+    """A random in-tree on n points: the points in a shuffled order, each
+    taking a receiver among the `window` points before it, so most edges cross."""
+    order = list(range(n))
+    rng.shuffle(order)
+    receiver = {p: order[rng.randrange(max(0, i - window), i)] for i, p in enumerate(order) if i}
+    return Instance1D.from_values(range(n)), ReceiverAssignment(SINKTREE1D, receiver, order[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_cross_edges_match_descendant_masks_on_every_in_tree(n):
+    for inst, a in _all_in_trees(n):
+        assert cross_edges(inst, a) == reference_cross_edges(n, a), (a.sink, a.receiver)
+
+
+def test_cross_edges_match_descendant_masks_on_random_trees():
+    rng = random.Random(7)
+    edges = crossed = 0
+    for window in (2, 5, 50):
+        for _ in range(40):
+            inst, a = windowed_random_tree(rng, rng.randint(2, 300), window)
+            expected = reference_cross_edges(inst.n, a)
+            assert cross_edges(inst, a) == expected, (a.sink, a.receiver)
+            edges, crossed = edges + len(a.receiver), crossed + len(expected)
+    assert edges // 2 < crossed < edges  # mostly crossing edges, but not only
+
+
 def test_bst_property():
     inst = Instance1D.from_values([0, 1, 2])
     assert has_bst_property(inst, chain(3))
@@ -208,7 +262,8 @@ def test_all_in_trees_are_the_valid_receiver_maps(n):
 
 # sha256 of the tree predicates on all 20153 receiver maps with n = 1..6,
 # recorded before validity and descendant sets came from one breadth-first
-# reach; the rewrite must not change a verdict.
+# reach, and while `model.descendant_masks` made the masks that
+# `reference_descendant_masks` makes now; no rewrite may change a verdict.
 TREE_PREDICATES_SHA256 = "0ad1071f35933fa0bc4231f588dd318c7350d083cacd5b8408144360bd40ce70"
 
 
@@ -219,7 +274,7 @@ def test_tree_predicates_golden_digest():
         for inst, a in _all_receiver_maps(n):
             verdicts = is_valid(inst, a) and (
                 True,
-                descendant_masks(inst, a),
+                reference_descendant_masks(n, a),
                 cross_edges(inst, a),
                 has_bst_property(inst, a),
                 count_bends(inst, a),
@@ -263,12 +318,13 @@ def test_strongly_connected_matches_transitive_closure():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_no_cross_edges_implies_bst(n):
     # Both predicates depend only on the tree and the index order, so one
-    # instance per size covers all coordinate choices.
+    # instance per size covers all coordinate choices.  The converse holds
+    # too (a BST-shaped tree has no cross edges), so each predicate checks
+    # the other.
     count = 0
     for inst, a in _all_in_trees(n):
         count += 1
-        if not cross_edges(inst, a):
-            assert has_bst_property(inst, a)
+        assert (not cross_edges(inst, a)) == has_bst_property(inst, a)
     assert count == n ** (n - 1)  # every in-tree on n points
 
 
