@@ -20,6 +20,7 @@ accepts is the witness.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, count
 from operator import or_
@@ -69,10 +70,10 @@ def _would_cycle(parent: list[int | None], tail: int, head: int) -> bool:
 def _ball_table(instance: Instance):
     """orders[p] (the points by distance from p, ties by index), masks[p][q]
     (the ball of p reaching q as a bit set; it is orders[p][:k] for k its bit
-    count), least[p] (p's least ball), extra[p][q] (the points of that ball
-    beyond least[p], ascending), bits[p][q] (the same as a bit set) and the
-    starts: each root (2D: None) with the count on every point of the least
-    balls of the points other than the root."""
+    count), least[p] (p's least ball), choices[p] ((q, bits, extra) for each
+    q != p: extra the points of the ball of p reaching q beyond least[p],
+    ascending, and bits the same as a bit set) and the starts: each root (2D:
+    None) with the count on every point of the other points' least balls."""
     n = instance.n
     if isinstance(instance, Instance1D):
         rows = [[abs(a - b) for b in instance.ints] for a in instance.ints]
@@ -80,8 +81,8 @@ def _ball_table(instance: Instance):
     else:
         rows = [[dist2(a, b) for b in instance.ints] for a in instance.ints]
         roots = [None]
-    orders, masks, least, extra, bits = [], [], [], [], []
-    for row in rows:
+    orders, masks, least, choices = [], [], [], []
+    for p, row in enumerate(rows):
         order = sorted(range(n), key=row.__getitem__)
         near = [row[j] for j in order]
         ks = [bisect_right(near, r) for r in row]  # the ball reaching q: order[:ks[q]]
@@ -90,8 +91,7 @@ def _ball_table(instance: Instance):
         orders.append(order)
         masks.append([prefix[k] for k in ks])
         least.append(tuple(sorted(order[:k0])))
-        extra.append([tuple(sorted(order[k0:k])) for k in ks])
-        bits.append([prefix[k] & ~prefix[k0] for k in ks])
+        choices.append([(q, prefix[k] & ~prefix[k0], tuple(sorted(order[k0:k]))) for q, k in enumerate(ks) if q != p])
     total = [0] * n
     for j in chain.from_iterable(least):
         total[j] += 1
@@ -99,65 +99,57 @@ def _ball_table(instance: Instance):
     for root, counts in starts:
         for j in () if root is None else least[root]:
             counts[j] -= 1
-    return orders, masks, least, extra, bits, starts
+    return orders, masks, least, choices, starts
 
 
-def _search(tables, cuts, accept, first: bool, stats: OracleStats):
-    """Deepen the limit from the floor until a pass accepts a leaf; return
-    the assignments that pass accepted (only the first if `first`) and its
-    limit.  cuts(parent, p, q) is true if no accepted leaf follows N(p) = q;
+def _search(tables, cuts, accept, stats: OracleStats):
+    """Deepen the limit from the floor until a pass accepts a leaf; yield
+    (limit, assignment) for each leaf that pass accepts, then stop.
+    cuts(parent, p, q) is true if no accepted leaf follows N(p) = q;
     accept(parent, root) is a leaf's assignment, or None to reject it."""
-    extra, bits, starts = tables[3:]
-    parent: list[int | None] = [None] * len(extra)
-    found: list[ReceiverAssignment] = []
-
-    def leaf(root: int | None) -> bool:
-        stats.leaves += 1
-        assignment = accept(parent, root)
-        if assignment is not None:
-            found.append(assignment)
-        return first and assignment is not None
-
+    choices, starts = tables[3:]
+    parent: list[int | None] = [None] * len(choices)
     # Each point reaching its farthest one is a valid assignment: L stops by n.
     for limit in count(min(max(counts) for _, counts in starts)):
         stats.passes += 1
+        accepted = False
         for root, counts in starts:
+            if max(counts) > limit:
+                continue
             full = sum(1 << j for j, c in enumerate(counts) if c == limit)
-            if max(counts) <= limit and _descend(extra, bits, cuts, counts, full, parent, root, 0, limit, leaf) < 0:
-                break
-        if found:
-            return found, limit
+            for _ in _descend(choices, cuts, counts, full, parent, root, 0, limit):
+                stats.leaves += 1
+                assignment = accept(parent, root)
+                if assignment is not None:
+                    accepted = True
+                    yield limit, assignment
+        if accepted:
+            return
 
 
-def _descend(extra, bits, cuts, counts, full, parent, root, p, limit, leaf) -> int:
-    # A module-level function rather than a recursive closure: a closure that
-    # refers to itself sits in a reference cycle, which would keep its tables
-    # and every assignment it collected alive until the garbage collector runs.
-    # Counts stay within the limit; `full` holds the points at it and bits[p][q]
-    # is extra[p][q] as a bit set, so one AND, before the branch test, rejects a
-    # choice that would exceed it.  Returns the limit, or -1 once `leaf` stops.
+def _descend(choices, cuts, counts, full, parent, root, p, limit):
+    # Yields at each leaf, with `parent` holding its receiver map.  Counts stay
+    # within the limit; `full` holds the points at it, so one AND with a
+    # choice's bits, before the branch test, rejects a choice that exceeds it.
     if p == root:  # the 1D root keeps no receiver
         p += 1
-    if p == len(extra):
-        return -1 if leaf(root) else limit
-    for q, mask in enumerate(bits[p]):
-        if q == p or mask & full or cuts(parent, p, q):
+    if p == len(choices):
+        yield
+        return
+    for q, bits, extra in choices[p]:
+        if bits & full or cuts(parent, p, q):
             continue
         reached = full
-        more = extra[p][q]
-        for j in more:
+        for j in extra:
             counts[j] += 1
             if counts[j] == limit:
                 reached |= 1 << j
         parent[p] = q
-        limit = _descend(extra, bits, cuts, counts, reached, parent, root, p + 1, limit, leaf)
-        for j in more:
+        yield from _descend(choices, cuts, counts, reached, parent, root, p + 1, limit)
+        for j in extra:
             counts[j] -= 1
-        if limit < 0:
-            break
     # One reset serves every q: neither branch test reads parent[p].
     parent[p] = None
-    return limit
 
 
 def _sink_tree(parent: list[int | None], root: int) -> ReceiverAssignment:
@@ -172,16 +164,16 @@ def brute_force_1d(
     """Minimum interference over all valid sink-tree assignments, with one
     minimizer as witness (the first in deterministic search order)."""
     _check_cap(instance.n, cap, "1D brute force")
-    trees, optimum = _search(_ball_table(instance), _would_cycle, _sink_tree, True, stats or OracleStats())
-    return OracleResult(optimum, trees[0])
+    return OracleResult(*next(_search(_ball_table(instance), _would_cycle, _sink_tree, stats or OracleStats())))
 
 
 def enumerate_optimal_1d(
     instance: Instance1D, cap: int = DEFAULT_CAP_1D
-) -> list[ReceiverAssignment]:
-    """Every valid assignment attaining the optimum interference, in search order."""
+) -> Iterator[ReceiverAssignment]:
+    """Every valid assignment attaining the optimum interference, streamed in
+    search order; the cap is checked at the call, before any iteration."""
     _check_cap(instance.n, cap, "1D optimal enumeration")
-    return _search(_ball_table(instance), _would_cycle, _sink_tree, False, OracleStats())[0]
+    return (tree for _, tree in _search(_ball_table(instance), _would_cycle, _sink_tree, OracleStats()))
 
 
 def brute_force_2d(
@@ -218,5 +210,4 @@ def brute_force_2d(
             return ReceiverAssignment(ASYM2D, dict(enumerate(parent)))
         return None
 
-    found, optimum = _search(tables, closes, connected, True, stats or OracleStats())
-    return OracleResult(optimum, found[0])
+    return OracleResult(*next(_search(tables, closes, connected, stats or OracleStats())))

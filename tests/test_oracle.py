@@ -2,12 +2,13 @@ import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
 
 from interfmin.errors import CapExceededError, InputError
-from interfmin.families import random_instance_1d
+from interfmin.families import gen_log_lower, random_instance_1d
 from interfmin.model import (
     ASYM2D,
     SINKTREE1D,
@@ -211,17 +212,38 @@ def test_enumeration_frees_dropped_assignments():
 
 def test_brute_force_2d_leaves_nothing_for_the_cycle_collector():
     # A search that refers to itself would leave its tables in a reference
-    # cycle after every call.
-    inst = random_points_2d(7, 1, 100)
+    # cycle after every call; so would a stream dropped before its end.
+    plane = random_points_2d(7, 1, 100)
+    line = random_instance_1d(8, 1, 100)
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        brute_force_2d(inst)
+        brute_force_2d(plane)
+        assert gc.collect() == 0
+        brute_force_1d(line)
+        assert gc.collect() == 0
+        stream = enumerate_optimal_1d(line)
+        next(stream)
+        del stream
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+def test_enumeration_streams_in_bounded_memory():
+    # gen_log_lower(12) has 22536 optimal trees; a stream holds one at a time
+    # (a list of them all peaked at 15.85 MiB under tracemalloc).
+    inst = gen_log_lower(12).instance
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_optimal_1d(inst))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 22536
+    assert peak < 2**20
 
 
 def random_points_2d(n, seed, coord_max):
@@ -309,7 +331,7 @@ def test_golden_witnesses_2d():
 
 
 def floor(instance):
-    return min(max(counts) for _, counts in _ball_table(instance)[5])
+    return min(max(counts) for _, counts in _ball_table(instance)[4])
 
 
 def test_least_ball_floor_is_at_most_the_optimum():
@@ -323,12 +345,12 @@ def test_least_ball_floor_is_at_most_the_optimum():
 
 def test_one_ball_table_for_both_dimensions():
     # On a line the 2D balls are the 1D intervals, so both oracles search
-    # the same distance orders, ball masks, least balls, extras and bits.
+    # the same distance orders, ball masks, least balls and choice lists.
     for n in range(2, 9):
         for seed in range(1, 11):
             line = random_instance_1d(n, seed, 100)
             plane = Instance2D.from_values((x, 0) for x in line.ints)
-            assert _ball_table(plane)[:5] == _ball_table(line)[:5], (n, seed)
+            assert _ball_table(plane)[:4] == _ball_table(line)[:4], (n, seed)
 
 
 def naive_ball_table(instance):
@@ -359,10 +381,11 @@ def naive_ball_table(instance):
 
 
 def assert_tables_match_naive(instance):
-    orders, masks, least, extra, bits, starts = _ball_table(instance)
-    balls, *rest, out = naive_ball_table(instance)
-    assert (least, extra, starts, bits) == tuple(rest)
+    orders, masks, least, choices, starts = _ball_table(instance)
+    balls, naive_least, extra, naive_starts, bits, out = naive_ball_table(instance)
+    assert (least, starts) == (naive_least, naive_starts)
     n = instance.n
+    assert choices == [[(q, bits[p][q], extra[p][q]) for q in range(n) if q != p] for p in range(n)]
     assert masks == [[sum(1 << j for j in b) for b in row] for row in balls]
     for p in range(n):
         # Nearer points reach smaller balls; p's own, of one point, comes first.
@@ -441,12 +464,20 @@ def test_search_order_digest():
 def test_bst_existence_small():
     rng = random.Random(7)
     sizes = [rng.randint(2, 6) for _ in range(8)] + [7, 7]
-    for n in sizes:
-        inst = Instance1D.from_values(rng.sample(range(0, 50), n))
+    instances = [Instance1D.from_values(rng.sample(range(0, 50), n)) for n in sizes]
+    # Each stream stops at its first such optimum: at most 245 trees are read.
+    instances += [random_instance_1d(n, seed, 100) for n in range(10, 14) for seed in range(1, 11)]
+    for inst in instances:
         assert any(
             not cross_edges(inst, a) and has_bst_property(inst, a)
             for a in enumerate_optimal_1d(inst)
-        )
+        ), inst.points
+    # Whole streams, 47295 optimal trees: every cross-free optimum is BST-shaped.
+    for n in range(7, 10):
+        for seed in range(1, 11):
+            inst = random_instance_1d(n, seed, 100)
+            for a in enumerate_optimal_1d(inst):
+                assert cross_edges(inst, a) or has_bst_property(inst, a), (n, seed)
 
 
 def test_cap_refusal():
