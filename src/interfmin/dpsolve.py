@@ -23,8 +23,14 @@ difference array is kept once per (lo, hi); a key's floor copies it, takes
 out the balls of the root and of the outgoing ranges' centers and adds the
 key's own ranges.  A key whose floor exceeds L goes to the memo as a lower
 bound uncomputed.  `solve_exact` and `solve_opt_search` are one search: it
-deepens the limit 1, 2, ... on one solver under the full size cap, and the
-first limit some root meets is the optimum.
+deepens the limit on one solver under the full size cap, and the first limit
+some root meets is the optimum.  Each root has a bound, read once per solve:
+its key's floor M, plus one if some proper single-linkage cluster of points
+without the root has, for every member, the ball to the nearest point outside
+the cluster covering a point at M outside the member's least ball (some
+member's edge leaves the cluster; every other point owns at least its least
+ball).  Deepening starts at the least bound, and a pass skips every root whose
+bound exceeds its limit.
 
 Splits are visited in ascending root coverage.  Every extra range a side may
 add escapes the side but not the interval, and a ball covers a contiguous
@@ -59,7 +65,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from itertools import accumulate, groupby, product, tee
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterator
 
 from .errors import InputError, InvariantError
@@ -96,6 +102,7 @@ class DpStats:
     gated_pairs: int = 0  # splits skipped because an option's floor passed the ceiling
     side_options: int = 0  # side options read by split loops
     dropped_options: int = 0  # side options built and dropped: their floor passed the pass limit
+    refuted_roots: int = 0  # roots skipped in a pass because their bound passed the limit
 
 
 # The one option of an empty side: no child, no ranges, no coverage, no floor.
@@ -184,6 +191,8 @@ class _Solver:
         self._side_cache: dict[tuple, Iterator] = {}
         self.pass_limit = INFEASIBLE
         self._profiles: dict[tuple[int, int], tuple[list[int], list[tuple[int, int]]]] = {}
+        # root_bounds[s]: a lower bound on every tree sinking at s.
+        self.root_bounds = self._root_bounds()
 
     def solve(self, key: Key, limit: int = INFEASIBLE) -> int:
         """The exact value if it is at most limit, else a lower bound above
@@ -246,6 +255,48 @@ class _Solver:
                 spans.append((a, b))
             profile = self._profiles[(lo, hi)] = (depth, spans)
         return profile
+
+    def _root_bounds(self) -> list[int]:
+        """A lower bound on the value of each root's key: its floor M, plus one
+        if some proper single-linkage cluster without the root has, for every
+        member, the ball to the nearest point outside the cluster covering a
+        point at M outside the member's least ball.  Some member's edge leaves
+        the cluster, and every other point owns at least its least ball."""
+        n, x, cover = self.instance.n, self.instance.ints, self.cover
+        depth, spans = self._least_balls(0, n - 1)
+        profile = list(accumulate(depth))
+        top = max(profile)
+        at_top = sum(1 << p for p in range(n) if profile[p] == top)
+        near = at_top | sum(1 << p for p in range(n) if profile[p] == top - 1)
+        least = [(1 << b) - (1 << a) for a, b in spans]
+        # Merging the gaps shortest first builds the clusters as intervals,
+        # kept by their ends; the last merge makes the whole line.  A cluster
+        # is kept as its mask and, per member, the points at top or top - 1
+        # that its exit ball adds to its least ball; a cluster with a member
+        # that adds none of them raises no bound.
+        first, last = list(range(n)), list(range(n))
+        clusters = []
+        for _, g in sorted(zip(map(sub, x[1:], x), range(n - 1)))[:-1]:
+            i, j = first[g], last[g + 1]
+            last[i], first[j] = j, i
+            exits = []
+            for a in range(i, j + 1):
+                q = i - 1 if j == n - 1 or (i and x[a] - x[i - 1] <= x[j + 1] - x[a]) else j + 1
+                c, d = cover[a][q]
+                extra = (1 << d + 1) - (1 << c) & near & ~least[a]
+                if not extra:
+                    break
+                exits.append(extra)
+            else:
+                clusters.append(((1 << j + 1) - (1 << i), exits))
+        bounds = []
+        for s in range(n):
+            hit = at_top & ~least[s]  # the points at the floor, without the root's least ball
+            floor = top if hit else top - 1
+            if not hit:
+                hit = at_top | near & ~least[s]
+            bounds.append(floor + any(not mask >> s & 1 and all(e & hit for e in exits) for mask, exits in clusters))
+        return bounds
 
     def _compute(self, key: Key, limit: int) -> tuple[int, tuple | None, bool]:
         """(value, choice, cut): the best split's value if it is at most
@@ -432,7 +483,10 @@ def _best_root(solver: _Solver, limit: int) -> OracleResult | None:
         solver._side_cache.clear()
     solver.pass_limit = limit
     best, best_key = INFEASIBLE, None
-    for root in range(n):
+    for root, bound in enumerate(solver.root_bounds):
+        if bound > limit:  # no tree sinking at root meets the limit
+            solver.stats.refuted_roots += 1
+            continue
         key = (0, n - 1, root, (), ())
         value = solver.solve(key, limit)
         if value <= limit and value != INFEASIBLE:
@@ -448,14 +502,14 @@ def _best_root(solver: _Solver, limit: int) -> OracleResult | None:
 
 
 def _deepen(instance: Instance1D, stats: DpStats | None, cap: int, label: str) -> OracleResult:
-    """Deepen the value limit 1, 2, ... on one solver under the full size cap;
-    the first limit some root meets is the optimum."""
+    """Deepen the value limit from the least root bound on one solver under
+    the full size cap; the first limit some root meets is the optimum."""
     _check_cap(instance.n, cap, label)
     if instance.n == 1:
         return OracleResult(0, ReceiverAssignment(SINKTREE1D, {}, 0))
     solver = _Solver(instance, size_bound(instance.n), stats)
     # Interference never exceeds the n - 1 balls.
-    for limit in range(1, instance.n):
+    for limit in range(min(solver.root_bounds), instance.n):
         result = _best_root(solver, limit)
         if result is not None:
             return result

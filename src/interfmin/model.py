@@ -204,23 +204,31 @@ def dist2(p: tuple, q: tuple):
 def in_balls(pts: Sequence[tuple[int, int]], radii2: Sequence[int]) -> list[list[int]]:
     """For each integer point pts[i], the ascending indices of the other points
     within squared distance radii2[i] of it (none for a negative radius).  The
-    cell side is the least integer at least the square root of the largest
-    radius; each point scans the 3x3 block of cells its cell's points share."""
-    reach2 = max(radii2, default=0)
-    side = isqrt(reach2 - 1) + 1 if reach2 > 0 else 1
-    cell_of = [(x // side, y // side) for x, y in pts]
-    members: dict[tuple[int, int], list[int]] = {}
-    for i, cell in enumerate(cell_of):
-        members.setdefault(cell, []).append(i)
-    around = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    block = {}
-    for cx, cy in members:
-        block[cx, cy] = sorted(i for dx, dy in around for i in members.get((cx + dx, cy + dy), ()))
-    xs, ys = [x for x, _ in pts], [y for _, y in pts]
-    return [
-        [q for q in block[cell] if (xs[q] - x) ** 2 + (ys[q] - y) ** 2 <= r2 and q != p] if r2 >= 0 else []
-        for p, (cell, x, y, r2) in enumerate(zip(cell_of, xs, ys, radii2))
-    ]
+    points are sorted into rows as high as the median ball's radius (rounded
+    up) and by x within a row; each ball bisects its x-window in the non-empty
+    rows its radius spans, so a huge ball costs its own rows and hits only."""
+    reach = sorted(r2 for r2 in radii2 if r2 >= 0)
+    median = reach[len(reach) // 2] if reach else 0
+    height = isqrt(median - 1) + 1 if median > 0 else 1
+    order = sorted(range(len(pts)), key=lambda i: (pts[i][1] // height, pts[i][0]))
+    rows = [pts[i][1] // height for i in order]
+    xs, ys = [pts[i][0] for i in order], [pts[i][1] for i in order]
+    keys = sorted(set(rows))
+    starts = [bisect_left(rows, k) for k in keys] + [len(order)]
+    out = []
+    for p, ((x, y), r2) in enumerate(zip(pts, radii2)):
+        hits = []
+        if r2 >= 0:
+            r = isqrt(r2)
+            for k in range(bisect_left(keys, (y - r) // height), bisect_right(keys, (y + r) // height)):
+                lo, hi = starts[k], starts[k + 1]
+                for j in range(bisect_left(xs, x - r, lo, hi), bisect_right(xs, x + r, lo, hi)):
+                    if (xs[j] - x) ** 2 + (ys[j] - y) ** 2 <= r2:
+                        hits.append(order[j])
+            hits.remove(p)  # every ball holds its center
+            hits.sort()
+        out.append(hits)
+    return out
 
 
 def cover_table(instance: Instance1D) -> list[list[tuple[int, int]]]:

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import interfmin
@@ -346,8 +347,9 @@ def test_solve_stats_shows_split_pairs(tmp_path, capsys):
         assert code == 0
         lines = out.splitlines()
         assert stats.split_pairs > 0 and stats.dropped_options > 0 and stats.side_options > 0
-        for name in ("dropped_options", "gated_pairs", "memo_hits", "split_pairs", "side_options", "subproblems"):
-            assert f"{name}: {getattr(stats, name)}" in lines, (method, name)
+        assert stats.refuted_roots > 0
+        for name, value in asdict(stats).items():
+            assert f"{name}: {value}" in lines, (method, name)
 
 
 def test_oracle_stats_show_passes_and_leaves(tmp_path, capsys):

@@ -22,7 +22,7 @@ from interfmin.dpsolve import (
 from interfmin.errors import CapExceededError
 from interfmin.families import gen_p, random_instance_1d
 from interfmin.model import Instance1D, has_bst_property, interference, is_valid
-from interfmin.oracle import brute_force_1d
+from interfmin.oracle import brute_force_1d, enumerate_optimal_1d
 
 
 def solve_key(inst, key, bound=4):
@@ -466,10 +466,11 @@ def test_coverage_floor_is_a_lower_bound():
     # deepening search cut by their floor included.  Pairs the deepening
     # search gated on an option's floor, and the options it dropped, count as
     # cuts too: the floors of their child keys passed the limit before those
-    # keys were built.
+    # keys were built.  80 instances: with roots refuted by their bound, the
+    # first 40 read 630 cuts (1134 before).
     rng = random.Random(8128)
     keys = tight = cut = 0
-    for _ in range(40):
+    for _ in range(80):
         n = rng.randint(2, 8)
         coord_max = rng.choice((3 * n, 100))
         inst = Instance1D.from_values(rng.sample(range(0, coord_max + 1), n))
@@ -491,6 +492,50 @@ def test_coverage_floor_is_a_lower_bound():
             cut += choice is _BOUND
         cut += deepening.stats.gated_pairs + deepening.stats.dropped_options
     assert keys > 4000 and tight > 1000 and cut > 1000
+
+
+def deepened_root_value(inst, root):
+    """The value of one root's key: the first limit of a deepening search on
+    that key alone that the key meets."""
+    n = inst.n
+    solver = _Solver(inst, size_bound(n))
+    for limit in range(1, n):
+        solver._side_cache.clear()
+        solver.pass_limit = limit
+        value = solver.solve((0, n - 1, root, (), ()), limit)
+        if value <= limit:
+            return value
+    return INFEASIBLE
+
+
+def test_root_bounds_are_lower_bounds():
+    # A root whose bound passes the limit is skipped, so no bound may pass its
+    # key's value.  The least bound is where the deepening starts; it is the
+    # optimum on every instance here.
+    tight = cases = 0
+    for n in range(2, 13):
+        for seed in range(1, 9):
+            inst = random_instance_1d(n, seed, 100)
+            bounds = _Solver(inst, size_bound(n)).root_bounds
+            values = [deepened_root_value(inst, root) for root in range(n)]
+            assert all(bound <= value for bound, value in zip(bounds, values)), (n, seed, bounds, values)
+            tight += min(bounds) == min(values)
+            cases += 1
+    assert (cases, tight) == (88, 88)
+
+
+def test_root_bound_of_every_optimal_sink():
+    # Every optimal tree the oracle enumerates sinks at a root whose bound is
+    # at most the tree's interference.
+    trees = 0
+    for n in range(2, 10):
+        for seed in range(1, 11):
+            inst = random_instance_1d(n, seed, 100)
+            bounds = _Solver(inst, size_bound(n)).root_bounds
+            for tree in enumerate_optimal_1d(inst, cap=n):
+                assert bounds[tree.sink] <= interference(inst, tree), (n, seed, tree.sink)
+                trees += 1
+    assert trees > 10000
 
 
 @pytest.mark.parametrize("n, seed", [(12, 7), (15, 4)])
@@ -538,8 +583,10 @@ def test_deepening_subproblem_gate_n12():
 # and solve_opt_search on random_instance_1d(n, seed, 100), n = 2..12, seeds
 # 1..5; re-recorded when split pairs were gated on each side option's floor
 # (a518d9fe7fa6eacdf4fde109f488c29115421ab831bfe52961af27a13974e4c5 before the
-# gate, recorded before side options were built on demand).
-DP_COUNTERS_SHA256 = "58b42bcd2225a7db97386e9a46754f87224193a425e791aa04241c52dc4075ed"
+# gate, recorded before side options were built on demand), and again when
+# roots were refuted by their bound and deepening started at the least bound
+# (58b42bcd2225a7db97386e9a46754f87224193a425e791aa04241c52dc4075ed before).
+DP_COUNTERS_SHA256 = "e780bbabcb250e723a1266e7ee576fdc2c9382ee5797bbd0c9b7e5ee68d2f0c8"
 
 
 def test_dp_search_counters_golden_digest():

@@ -497,7 +497,7 @@ def clustered_instance_and_map(draw):
     """Up to 30 planar points in up to four clusters 100 units apart, with
     mixed denominators and negative coordinates, plus a receiver map that
     mixes balls inside a cluster with balls reaching other clusters; so the
-    cells, sized by the largest ball, hold part of a cluster, a whole one or
+    rows, as high as the median ball, hold part of a cluster, a whole one or
     several."""
     k = draw(st.integers(min_value=1, max_value=4))
     centers = draw(
@@ -532,11 +532,17 @@ def test_cell_index_matches_fraction_reference_on_clusters(pair):
     inst, a = pair
     assert communication_graph_2d(inst, a) == naive_graph(inst, a)
     assert coverage_counts(inst, a) == naive_counts(inst, a)
+    # One huge ball: point 0 sends to the point farthest from it.
+    far = max(range(1, inst.n), key=lambda q: naive_d2(inst, 0, q))
+    huge = ReceiverAssignment(ASYM2D, {**a.receiver, 0: far})
+    assert communication_graph_2d(inst, huge) == naive_graph(inst, huge)
+    assert coverage_counts(inst, huge) == naive_counts(inst, huge)
 
 
 def test_ball_boundary_on_a_cell_edge():
-    # Radius 3 gives cells of side 3.  With cells one unit narrower, the
-    # boundary point at x = 4 would sit two cells from the center at x = 1.
+    # The median radius 1 gives rows of height 1.  The ball of radius 3 from
+    # x = 1 has the point at x = 4 on its boundary, at the end of its
+    # x-window; the point at (4, 1), in the next row, lies just outside it.
     inst = Instance2D.from_values([(1, 0), (4, 0), (4, 1)])
     a = ReceiverAssignment(ASYM2D, {0: 1, 1: 2, 2: 1})
     assert communication_graph_2d(inst, a) == [[1], [2], [1]]
