@@ -43,13 +43,17 @@ is built on its first read and kept.  Each option carries the floor of its
 child key without incoming ranges (they only add coverage), and a stream
 holds only the options whose floor is at most the limit of the deepening
 pass that built it; extras only raise the floor, so each grows a kept option
-by one extra.  Once a pair's root coverage exceeds the ceiling (the limit or
-the best value so far), the pairs after it are not read.  A pair whose root
-coverage equals the best value can only win that value's tie-break on the
-encoding, so it is settled before any child key is built: on the left child
-root and key or, without a left side, on the right child root and outgoing
-set; the first tie with a larger root ends the inner loop.  Only then is a
-pair with an option floor above the ceiling skipped (gated).  A gated pair,
+by one extra.  A center's candidate balls are nested, so its live picks are
+its smallest: one scan per (parent, center) from the smallest pick stops at
+the first dead one.  Once a pair's root coverage exceeds the ceiling (the
+limit or the best value so far), the pairs after it are not read.  A pair
+whose root coverage equals the best value, or any pair once the best value
+meets the key's floor (every split's value is at least the floor), can only
+win the tie-break on the encoding, so it is settled before any child key is
+built: on the left child root and key or, without a left side, on the right
+child root and outgoing set; a tie with a larger left root ends the inner
+loop, and so does one with a larger right root at the ceiling.  Only then is
+a pair with an option floor above the ceiling skipped (gated).  A gated pair,
 a dropped option (its stream ends in an option past every ceiling) or a pair
 or a child value cut at the limit marks the result as a lower bound rather
 than infeasible; a side with no option makes the key infeasible at every
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from itertools import accumulate, groupby, product, tee
+from itertools import accumulate, groupby, tee
 from operator import itemgetter, sub
 from typing import Iterator
 
@@ -88,10 +92,11 @@ INFEASIBLE = 1 << 62
 # The choice of a memo entry whose value is only a lower bound.
 _BOUND = "bound"
 
-# Largest n the DP solvers accept by default, so none runs for seconds: both
-# solvers together take at most 0.48-0.63 s at n = 18 and 0.58-0.75 s at n = 19
-# over random seeds 1-10 and LogLower, the worst at each n (2 cores, Python 3.11).
-DEFAULT_CAP_DP = 18
+# Largest n the DP solvers accept by default, so none runs for seconds: the
+# worst of both solvers together over random seeds 1-10 and LogLower (the
+# worst at each n) stays under 1 s.  Six runs (2 cores, Python 3.11) read at
+# most 0.87 s at n = 21, and 0.78-0.995 s at n = 22.
+DEFAULT_CAP_DP = 21
 
 
 @dataclass
@@ -103,6 +108,7 @@ class DpStats:
     side_options: int = 0  # side options read by split loops
     dropped_options: int = 0  # side options built and dropped: their floor passed the pass limit
     refuted_roots: int = 0  # roots skipped in a pass because their bound passed the limit
+    settled_pairs: int = 0  # splits skipped as at best a tie that loses on its encoding
 
 
 # The one option of an empty side: no child, no ranges, no coverage, no floor.
@@ -156,19 +162,29 @@ def _option_stream(
                 for chosen, group in groupby(parents, itemgetter(1)):
                     group = [(picks, depth, list(accumulate(depth))) for picks, _, depth in group]
                     for i in range(chosen[-1] + 1 if chosen else 0, len(centers)):
-                        (a0, b0), row = spans[centers[i] - lo], cover[centers[i]]
-                        for (picks, depth, profile), pick in product(group, candidates[centers[i]]):
-                            a, b = row[pick.boundary]
-                            if limit in profile[max(a, lo) - lo : a0] or limit in profile[b0 : min(b, hi) - lo + 1]:
-                                dropped += 1
-                                stats.dropped_options += 1
-                                continue
-                            picked = depth.copy()
-                            _put(picked, lo, hi, (a0, b0), (a, b))
-                            grown.append((picks + (pick,), chosen + (i,), picked))
-                            stats.side_options += 1
-                            # picks are centered off the base's centers: no duplicates
-                            yield child_root, tuple(sorted(base + picks + (pick,))), level, max(accumulate(picked))
+                        (a0, b0), row, options = spans[centers[i] - lo], cover[centers[i]], candidates[centers[i]]
+                        balls = [row[pick.boundary] for pick in options]
+                        shrinking = options[0].boundary < centers[i]  # a left side lists them largest-first
+                        for picks, depth, profile in group:
+                            # A center's balls are nested, so its live picks
+                            # are its smallest: scan up to the first dead one.
+                            kept = 0
+                            for a, b in reversed(balls) if shrinking else balls:
+                                if limit in profile[max(a, lo) - lo : a0] or limit in profile[b0 : min(b, hi) - lo + 1]:
+                                    break
+                                kept += 1
+                            dead = len(balls) - kept
+                            dropped += dead
+                            # The dead picks are counted where the list order reaches them.
+                            stats.dropped_options += dead if shrinking else 0
+                            for j in range(dead, len(balls)) if shrinking else range(kept):
+                                picked = depth.copy()
+                                _put(picked, lo, hi, (a0, b0), balls[j])
+                                grown.append((picks + (options[j],), chosen + (i,), picked))
+                                stats.side_options += 1
+                                # picks are centered off the base's centers: no duplicates
+                                yield child_root, tuple(sorted(base + picks + (options[j],))), level, max(accumulate(picked))
+                            stats.dropped_options += 0 if shrinking else dead
     if dropped:
         yield None, (), INFEASIBLE, INFEASIBLE  # a split loop that reaches it is cut
 
@@ -206,7 +222,7 @@ class _Solver:
             self.memo[key] = (floor, _BOUND)
             return floor
         self.stats.subproblems += 1
-        value, choice, cut = self._compute(key, limit)
+        value, choice, cut = self._compute(key, limit, floor)
         if value == INFEASIBLE and cut:
             value, choice = limit + 1, _BOUND
         self.memo[key] = (value, choice)
@@ -298,10 +314,11 @@ class _Solver:
             bounds.append(floor + any(not mask >> s & 1 and all(e & hit for e in exits) for mask, exits in clusters))
         return bounds
 
-    def _compute(self, key: Key, limit: int) -> tuple[int, tuple | None, bool]:
+    def _compute(self, key: Key, limit: int, floor: int) -> tuple[int, tuple | None, bool]:
         """(value, choice, cut): the best split's value if it is at most
         limit (else INFEASIBLE) and its child keys, and whether a split was
-        cut off at the limit (rather than found infeasible)."""
+        cut off at the limit (rather than found infeasible).  Every split's
+        value is at least the key's floor."""
         lo, hi, root, incoming, outgoing = key
         root_ranges = [r for r in outgoing if r.center == root]
         if len(root_ranges) > 1:
@@ -338,18 +355,21 @@ class _Solver:
                 if value > ceiling:
                     cut = True
                     break
-                tie = value == ceiling and choice is not None
+                # Once the best value meets the key's floor, every split at best ties.
+                tie = choice is not None and (value == ceiling or ceiling == floor)
                 if tie:
-                    # Settle the tie on the encoding before building keys; a
-                    # larger lead loses every later tie of this level too.
+                    # Settle the tie on the encoding before building keys.  A
+                    # larger lead loses every later tie of this inner loop,
+                    # except that a lone right side's next level restarts its roots.
                     best_left, best_right = choice
                     if best_left is None:
                         lead, best_lead = r_root, best_right[2]
                     else:
                         lead, best_lead = l_root, best_left[2]
-                    if lead > best_lead:
-                        break
-                    if lead == best_lead and best_left is None and r_out > best_right[4]:
+                    if lead > best_lead or (lead == best_lead and best_left is None and r_out > best_right[4]):
+                        self.stats.settled_pairs += 1
+                        if lead > best_lead and (best_left is not None or value == ceiling):
+                            break
                         continue
                 if l_floor > ceiling or r_floor > ceiling:
                     # each child key of the option has at least its floor
@@ -358,7 +378,10 @@ class _Solver:
                     continue
                 self.stats.split_pairs += 1
                 left_key = self._child_key(incoming, lo, root - 1, l_root, l_out, r_out, root_ranges)
-                if left_key is False or (tie and left_key is not None and left_key > best_left):
+                if left_key is False:
+                    continue
+                if tie and left_key is not None and left_key > best_left:
+                    self.stats.settled_pairs += 1
                     continue
                 right_key = self._child_key(incoming, root + 1, hi, r_root, r_out, l_out, root_ranges)
                 if right_key is False:
@@ -430,7 +453,8 @@ class _Solver:
     def _extra_candidates(self, key: Key, lo: int, hi: int) -> dict[int, list[Range]]:
         """Optional extra ranges for the side [lo, hi], by center in ascending
         order: balls of future edges inside this side that reach into the rest
-        of the interval but never leave it."""
+        of the interval but never leave it.  A center's balls are nested,
+        listed largest first on a left side and smallest first on a right side."""
         sub_lo, sub_hi = key[:2]
         candidates: dict[int, list[Range]] = {}
         for center in range(lo, hi + 1):

@@ -347,7 +347,7 @@ def test_solve_stats_shows_split_pairs(tmp_path, capsys):
         assert code == 0
         lines = out.splitlines()
         assert stats.split_pairs > 0 and stats.dropped_options > 0 and stats.side_options > 0
-        assert stats.refuted_roots > 0
+        assert stats.refuted_roots > 0 and stats.settled_pairs > 0
         for name, value in asdict(stats).items():
             assert f"{name}: {value}" in lines, (method, name)
 

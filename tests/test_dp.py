@@ -585,8 +585,11 @@ def test_deepening_subproblem_gate_n12():
 # (a518d9fe7fa6eacdf4fde109f488c29115421ab831bfe52961af27a13974e4c5 before the
 # gate, recorded before side options were built on demand), and again when
 # roots were refuted by their bound and deepening started at the least bound
-# (58b42bcd2225a7db97386e9a46754f87224193a425e791aa04241c52dc4075ed before).
-DP_COUNTERS_SHA256 = "e780bbabcb250e723a1266e7ee576fdc2c9382ee5797bbd0c9b7e5ee68d2f0c8"
+# (58b42bcd2225a7db97386e9a46754f87224193a425e791aa04241c52dc4075ed before),
+# and again when a split loop settled every pair on its encoding once the
+# best value met the key's floor
+# (e780bbabcb250e723a1266e7ee576fdc2c9382ee5797bbd0c9b7e5ee68d2f0c8 before).
+DP_COUNTERS_SHA256 = "c1c4948791df4f5a0e60b22aa141ba9d8590a9ae073ac9d78ba09adc6f41077c"
 
 
 def test_dp_search_counters_golden_digest():
@@ -603,12 +606,31 @@ def test_dp_search_counters_golden_digest():
 
 def test_side_options_built_on_demand_n15():
     # Hardware-independent: 204126 options when every option of a coverage
-    # level was built at once.  A pair is still gated when an option's floor
-    # passes a ceiling below the pass limit.
+    # level was built at once.
     stats = DpStats()
     assert solve_exact(random_instance_1d(15, 4, 100), stats, cap=15).optimum == 4
     assert stats.side_options <= 40000
+
+
+def test_pairs_gated_below_the_pass_limit():
+    # A pair is still gated when an option's floor passes a ceiling below the
+    # pass limit.  This was checked on random_instance_1d(15, 4, 100) until
+    # its two gated pairs were settled on their encoding ahead of the gate;
+    # here the gate fires 1204 times.
+    stats = DpStats()
+    assert solve_exact(random_instance_1d(40, 5, 100), stats, cap=40).optimum == 4
     assert stats.gated_pairs > 0
+
+
+def test_splits_settled_at_the_keys_floor():
+    # Hardware-independent: once a key's best split meets the key's floor,
+    # every later split at best ties, so one that loses the tie-break on its
+    # encoding is settled before its child keys are built.  51 split pairs
+    # when only splits at the best value's coverage were settled.
+    stats = DpStats()
+    assert solve_exact(random_instance_1d(16, 1, 100), stats, cap=16).optimum == 3
+    assert stats.settled_pairs > 0
+    assert stats.split_pairs < 51
 
 
 def test_live_side_options_reach_n24():
