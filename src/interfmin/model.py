@@ -412,24 +412,12 @@ def cross_edges(instance: Instance1D, assignment: ReceiverAssignment) -> list[tu
 
 def has_bst_property(instance: Instance1D, assignment: ReceiverAssignment) -> bool:
     """Binary-search-tree shape: at most one child per side, and every node's
-    descendant span contains nothing but its own descendants."""
-    order = _valid_tree_order(instance, assignment)
-    receiver = assignment.receiver
-    if len({(q, p < q) for p, q in receiver.items()}) != len(receiver):  # two children on one side
-        return False
-    # Walking the tree order backwards completes each point's least and
-    # greatest descendant and descendant count before its receiver's; the
-    # span holds nothing else exactly when it is as long as the count.
-    n = len(order)
-    lo, hi, size = list(range(n)), list(range(n)), [1] * n
-    for p in reversed(order[1:]):
-        q = receiver[p]
-        if lo[p] < lo[q]:
-            lo[q] = lo[p]
-        if hi[p] > hi[q]:
-            hi[q] = hi[p]
-        size[q] += size[p]
-    return all(b - a + 1 == k for a, b, k in zip(lo, hi, size))
+    descendant span contains nothing but its own descendants.  That is having
+    no cross edges: two children p1 < p2 of q on one side make p1 -> q cross
+    p2, a span holding a non-descendant has an edge jumping over it, and in a
+    BST-shaped tree a point between p and q outside p's span would be a
+    second descendant of q on p's side."""
+    return not cross_edges(instance, assignment)
 
 
 def count_bends(instance: Instance1D, assignment: ReceiverAssignment) -> int:

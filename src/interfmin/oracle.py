@@ -23,7 +23,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, count
-from operator import or_
+from operator import itemgetter, or_
 
 from .errors import CapExceededError, InputError
 from .model import (
@@ -72,8 +72,10 @@ def _ball_table(instance: Instance):
     (the ball of p reaching q as a bit set; it is orders[p][:k] for k its bit
     count), least[p] (p's least ball), choices[p] ((q, bits, extra) for each
     q != p: extra the points of the ball of p reaching q beyond least[p],
-    ascending, and bits the same as a bit set) and the starts: each root (2D:
-    None) with the count on every point of the other points' least balls."""
+    in p's distance order, and bits the same as a bit set) and the starts:
+    each root (2D: None) with the count on every point of the other points'
+    least balls.  least[p] and each extra are slices of orders[p], read only
+    as sets."""
     n = instance.n
     if isinstance(instance, Instance1D):
         rows = [[abs(a - b) for b in instance.ints] for a in instance.ints]
@@ -90,8 +92,8 @@ def _ball_table(instance: Instance):
         k0 = bisect_right(near, near[min(1, n - 1)])  # up to the nearest other point
         orders.append(order)
         masks.append([prefix[k] for k in ks])
-        least.append(tuple(sorted(order[:k0])))
-        choices.append([(q, prefix[k] & ~prefix[k0], tuple(sorted(order[k0:k]))) for q, k in enumerate(ks) if q != p])
+        least.append(order[:k0])
+        choices.append([(q, prefix[k] & ~prefix[k0], order[k0:k]) for q, k in enumerate(ks) if q != p])
     total = [0] * n
     for j in chain.from_iterable(least):
         total[j] += 1
@@ -131,10 +133,22 @@ def _descend(choices, cuts, counts, full, parent, root, p, limit):
     # Yields at each leaf, with `parent` holding its receiver map.  Counts stay
     # within the limit; `full` holds the points at it, so one AND with a
     # choice's bits, before the branch test, rejects a choice that exceeds it.
+    # At the last free point a choice that passes both is a leaf: no later
+    # choice reads the counts, and a leaf's callback reads only `parent`.
     if p == root:  # the 1D root keeps no receiver
         p += 1
-    if p == len(choices):
+    if p == len(choices):  # the 1D singleton: no free point
         yield
+        return
+    following = p + 1
+    if following == root:
+        following += 1
+    if following == len(choices):
+        for q, bits, _ in choices[p]:
+            if not (bits & full or cuts(parent, p, q)):
+                parent[p] = q
+                yield
+        parent[p] = None
         return
     for q, bits, extra in choices[p]:
         if bits & full or cuts(parent, p, q):
@@ -173,7 +187,7 @@ def enumerate_optimal_1d(
     """Every valid assignment attaining the optimum interference, streamed in
     search order; the cap is checked at the call, before any iteration."""
     _check_cap(instance.n, cap, "1D optimal enumeration")
-    return (tree for _, tree in _search(_ball_table(instance), _would_cycle, _sink_tree, OracleStats()))
+    return map(itemgetter(1), _search(_ball_table(instance), _would_cycle, _sink_tree, OracleStats()))
 
 
 def brute_force_2d(

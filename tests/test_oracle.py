@@ -357,7 +357,8 @@ def naive_ball_table(instance):
     """The tables built point by point from every ball's member list, as the
     oracle built them before it sorted each point's distances once: balls
     (ascending), least balls, extras, starts, the extras as bit sets and
-    out[p][q], the 2D edges from p if N(p) = q (ascending)."""
+    out[p][q], the 2D edges from p if N(p) = q (ascending).  The oracle keeps
+    its least balls and extras in distance order; sorted, they are these."""
     n = instance.n
     if isinstance(instance, Instance1D):
         balls = [[tuple(range(lo, hi + 1)) for lo, hi in row] for row in cover_table(instance)]
@@ -383,11 +384,20 @@ def naive_ball_table(instance):
 def assert_tables_match_naive(instance):
     orders, masks, least, choices, starts = _ball_table(instance)
     balls, naive_least, extra, naive_starts, bits, out = naive_ball_table(instance)
-    assert (least, starts) == (naive_least, naive_starts)
+    assert starts == naive_starts
     n = instance.n
-    assert choices == [[(q, bits[p][q], extra[p][q]) for q in range(n) if q != p] for p in range(n)]
+    assert [[(q, b) for q, b, _ in row] for row in choices] == [
+        [(q, bits[p][q]) for q in range(n) if q != p] for p in range(n)
+    ]
     assert masks == [[sum(1 << j for j in b) for b in row] for row in balls]
     for p in range(n):
+        # The least ball and the extras are slices of p's order, read as sets.
+        k0 = len(naive_least[p])
+        assert least[p] == orders[p][:k0]
+        assert tuple(sorted(least[p])) == naive_least[p]
+        for q, _, e in choices[p]:
+            assert e == orders[p][k0 : masks[p][q].bit_count()]
+            assert tuple(sorted(e)) == extra[p][q]
         # Nearer points reach smaller balls; p's own, of one point, comes first.
         assert orders[p] == sorted(range(n), key=lambda q: (len(balls[p][q]), q))
         for q in range(n):
