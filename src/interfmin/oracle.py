@@ -133,22 +133,10 @@ def _descend(choices, cuts, counts, full, parent, root, p, limit):
     # Yields at each leaf, with `parent` holding its receiver map.  Counts stay
     # within the limit; `full` holds the points at it, so one AND with a
     # choice's bits, before the branch test, rejects a choice that exceeds it.
-    # At the last free point a choice that passes both is a leaf: no later
-    # choice reads the counts, and a leaf's callback reads only `parent`.
     if p == root:  # the 1D root keeps no receiver
         p += 1
-    if p == len(choices):  # the 1D singleton: no free point
+    if p == len(choices):
         yield
-        return
-    following = p + 1
-    if following == root:
-        following += 1
-    if following == len(choices):
-        for q, bits, _ in choices[p]:
-            if not (bits & full or cuts(parent, p, q)):
-                parent[p] = q
-                yield
-        parent[p] = None
         return
     for q, bits, extra in choices[p]:
         if bits & full or cuts(parent, p, q):

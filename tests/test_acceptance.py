@@ -22,7 +22,6 @@ from interfmin.families import (
 from interfmin.model import (
     count_bends,
     cross_edges,
-    has_bst_property,
     interference,
     interference_at,
     is_valid,
@@ -38,6 +37,8 @@ from interfmin.reduction import (
     geometry_violations,
     reduce_grid,
 )
+
+from bst_reference import reference_bst_property
 
 SEED = 20260810
 
@@ -154,7 +155,7 @@ def test_criterion_6_bst_existence():
         found = False
         for a in enumerate_optimal_1d(inst):
             crossing = cross_edges(inst, a)
-            bst = has_bst_property(inst, a)
+            bst = reference_bst_property(inst, a)
             if not crossing and not bst:
                 failures.append(f"trial {trial}: cross-free optimum without BST shape")
             if not crossing and bst:

@@ -35,6 +35,8 @@ from interfmin.nna import nna
 from interfmin.reduction import GridGraph, assignment_from_ham_path, extract_connection_structure, reduce_grid
 from interfmin.textio import format_points, parse_points
 
+from bst_reference import reference_bst_property
+
 TRIANGLE = Instance2D.from_values([(0, 0), (1, 0), (0, 1)])
 TRIANGLE_N = ReceiverAssignment(ASYM2D, {0: 1, 1: 2, 2: 0})
 
@@ -169,29 +171,6 @@ def reference_cross_edges(n, assignment):
         if between & ~masks[p]:
             result.append((p, q))
     return result
-
-
-def reference_bst_property(instance, assignment):
-    """Reference, as `model.has_bst_property` computed it before it read
-    `cross_edges`: at most one child per side, and each point's descendant
-    span as long as its descendant count."""
-    order = model._valid_tree_order(instance, assignment)
-    receiver = assignment.receiver
-    if len({(q, p < q) for p, q in receiver.items()}) != len(receiver):  # two children on one side
-        return False
-    # Walking the tree order backwards completes each point's least and
-    # greatest descendant and descendant count before its receiver's; the
-    # span holds nothing else exactly when it is as long as the count.
-    n = len(order)
-    lo, hi, size = list(range(n)), list(range(n)), [1] * n
-    for p in reversed(order[1:]):
-        q = receiver[p]
-        if lo[p] < lo[q]:
-            lo[q] = lo[p]
-        if hi[p] > hi[q]:
-            hi[q] = hi[p]
-        size[q] += size[p]
-    return all(b - a + 1 == k for a, b, k in zip(lo, hi, size))
 
 
 def windowed_random_tree(rng, n, window):
@@ -532,20 +511,14 @@ def clustered_instance_and_map(draw):
             st.tuples(st.integers(0, k - 1), OFFSETS, OFFSETS), min_size=n, max_size=n, unique=True
         )
     )
-    # With every ball local the cells are about a cluster wide.
-    local = draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)))
-    picks = draw(st.lists(st.integers(min_value=0, max_value=n - 2), min_size=n, max_size=n))
-    return clustered_pair(centers, members, local, picks)
-
-
-def clustered_pair(centers, members, local, picks):
-    """The instance and map of `clustered_instance_and_map` from its draws."""
-    n = len(members)
     inst = Instance2D.from_values(
         (100 * centers[c][0] + dx, 100 * centers[c][1] + dy) for c, dx, dy in members
     )
     # Receiver choice j picks the j-th other point of the same cluster when
     # `local` is set and there is one, else the j-th other point overall.
+    # With every ball local the cells are about a cluster wide.
+    local = draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=n - 2), min_size=n, max_size=n))
     receiver = {}
     for p in range(n):
         others = [q for q in range(n) if q != p]
@@ -555,29 +528,37 @@ def clustered_pair(centers, members, local, picks):
     return inst, ReceiverAssignment(ASYM2D, receiver)
 
 
-def seeded_clustered_pair(seed):
-    """Four clusters of 30 points in all, drawn as `clustered_instance_and_map`
-    draws them, from a seeded generator."""
-    rng = random.Random(seed)
-    centers = rng.sample([(x, y) for x in range(-3, 4) for y in range(-3, 4)], 4)
-    offsets = [Fraction(a, d) for a in range(-36, 37) for d in (1, 2, 3, 5, 12)]
-    members = set()
-    while len(members) < 30:
-        members.add((rng.randrange(4), rng.choice(offsets), rng.choice(offsets)))
-    members = sorted(members)
-    rng.shuffle(members)
-    local = [rng.random() < 0.7 for _ in members]
-    return clustered_pair(centers, members, local, [rng.randrange(29) for _ in members])
+# A column one unit apart, each point sending to the next: the rows are one
+# unit high and the huge ball from the bottom spans all of them.
+COLUMN = (
+    Instance2D.from_values((0, y) for y in range(6)),
+    ReceiverAssignment(ASYM2D, {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 4}),
+)
+# Two clusters 100 units apart on a diagonal, with mixed denominators and
+# negative coordinates; points 2 and 5 send to the other cluster, across
+# rows as high as the local balls.
+DIAGONAL = (
+    Instance2D.from_values(
+        [
+            (Fraction(-1, 2), Fraction(1, 3)),
+            (Fraction(1, 2), Fraction(-1, 3)),
+            (0, Fraction(6, 5)),
+            (100 - Fraction(1, 12), 100 + Fraction(3, 2)),
+            (100, 99),
+            (Fraction(201, 2), 100),
+        ]
+    ),
+    ReceiverAssignment(ASYM2D, {0: 1, 1: 0, 2: 3, 3: 4, 4: 5, 5: 1}),
+)
 
 
-# The seeded examples run first and are not shrunk, so a wrong `in_balls`
+# The literal examples run first and are not shrunk, so a wrong `in_balls`
 # fails in seconds; a failure found by the generated ones takes minutes to
 # shrink.
 @settings(max_examples=100, deadline=None)
 @given(clustered_instance_and_map())
-@example(seeded_clustered_pair(1))
-@example(seeded_clustered_pair(2))
-@example(seeded_clustered_pair(3))
+@example(COLUMN)
+@example(DIAGONAL)
 def test_cell_index_matches_fraction_reference_on_clusters(pair):
     inst, a = pair
     assert communication_graph_2d(inst, a) == naive_graph(inst, a)

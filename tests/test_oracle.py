@@ -18,7 +18,6 @@ from interfmin.model import (
     cover_table,
     cross_edges,
     dist2,
-    has_bst_property,
     interference,
     is_valid,
 )
@@ -31,6 +30,8 @@ from interfmin.oracle import (
     brute_force_2d,
     enumerate_optimal_1d,
 )
+
+from bst_reference import reference_bst_property
 
 
 def rejection_optimum_1d(inst):
@@ -479,7 +480,7 @@ def test_bst_existence_small():
     instances += [random_instance_1d(n, seed, 100) for n in range(10, 14) for seed in range(1, 11)]
     for inst in instances:
         assert any(
-            not cross_edges(inst, a) and has_bst_property(inst, a)
+            not cross_edges(inst, a) and reference_bst_property(inst, a)
             for a in enumerate_optimal_1d(inst)
         ), inst.points
     # Whole streams, 47295 optimal trees: every cross-free optimum is BST-shaped.
@@ -487,7 +488,7 @@ def test_bst_existence_small():
         for seed in range(1, 11):
             inst = random_instance_1d(n, seed, 100)
             for a in enumerate_optimal_1d(inst):
-                assert cross_edges(inst, a) or has_bst_property(inst, a), (n, seed)
+                assert cross_edges(inst, a) or reference_bst_property(inst, a), (n, seed)
 
 
 def test_cap_refusal():
