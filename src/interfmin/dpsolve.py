@@ -43,8 +43,8 @@ is built on its first read and kept.  Each option carries the floor of its
 child key without incoming ranges (they only add coverage), and a stream
 holds only the options whose floor is at most the limit of the deepening
 pass that built it; extras only raise the floor, so each grows a kept option
-by one extra.  A center's candidate balls are nested, so its live picks are
-its smallest: one scan per (parent, center) from the smallest pick stops at
+by one extra.  A center's candidate balls are nested and listed smallest
+first, so one scan per (parent, center) yields its live picks and stops at
 the first dead one.  Once a pair's root coverage exceeds the ceiling (the
 limit or the best value so far), the pairs after it are not read.  A pair
 whose root coverage equals the best value, or any pair once the best value
@@ -68,8 +68,8 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from itertools import accumulate, groupby, tee
-from operator import itemgetter, sub
+from itertools import accumulate, tee
+from operator import sub
 from typing import Iterator
 
 from .errors import InputError, InvariantError
@@ -133,9 +133,12 @@ def _option_stream(
     """(child root, outgoing set, root coverage, floor) for every option of
     the side [lo, hi] grown from roots with a floor at most limit, by coverage
     level and counted in stats as read, then one past every ceiling if any was
-    dropped.  The floor is that of the option's child key without incoming
-    ranges; a pick only adds one on its ball outside its center's least ball."""
-    live = {}  # child root -> its last level's live pick sets: (picks, their centers' indices, depth)
+    dropped.  A level lists each child root's options in the lexicographic
+    order of their (center, pick position) sequences, a center's picks
+    smallest first.  The floor is that of the option's child key without
+    incoming ranges; a pick only adds one on its ball outside its center's
+    least ball."""
+    live = {}  # child root -> its last level's live pick sets: (picks, their last center's index, depth)
     dropped = 0
     top = max((root[2] + root[4] for root in roots), default=-1)
     for level in range(top + 1):
@@ -150,41 +153,29 @@ def _option_stream(
                     dropped += 1
                     stats.dropped_options += 1
                     continue
-                live[child_root] = [((), (), depth)]
+                live[child_root] = [((), -1, depth)]
                 stats.side_options += 1
                 yield child_root, base, level, floor
             elif 0 < count <= most and child_root in live:
                 parents, grown = live[child_root], []
                 live[child_root] = grown
-                # A live set less its last pick is live (a pick only raises the
-                # floor). Parents come in (centers, candidates) order, and so do
-                # the sets grown from a group of equal centers, a center at a time.
-                for chosen, group in groupby(parents, itemgetter(1)):
-                    group = [(picks, depth, list(accumulate(depth))) for picks, _, depth in group]
-                    for i in range(chosen[-1] + 1 if chosen else 0, len(centers)):
+                # A live set less its last pick is live: a pick only raises the floor.
+                for picks, last, depth in parents:
+                    profile = list(accumulate(depth))
+                    for i in range(last + 1, len(centers)):
                         (a0, b0), row, options = spans[centers[i] - lo], cover[centers[i]], candidates[centers[i]]
-                        balls = [row[pick.boundary] for pick in options]
-                        shrinking = options[0].boundary < centers[i]  # a left side lists them largest-first
-                        for picks, depth, profile in group:
-                            # A center's balls are nested, so its live picks
-                            # are its smallest: scan up to the first dead one.
-                            kept = 0
-                            for a, b in reversed(balls) if shrinking else balls:
-                                if limit in profile[max(a, lo) - lo : a0] or limit in profile[b0 : min(b, hi) - lo + 1]:
-                                    break
-                                kept += 1
-                            dead = len(balls) - kept
-                            dropped += dead
-                            # The dead picks are counted where the list order reaches them.
-                            stats.dropped_options += dead if shrinking else 0
-                            for j in range(dead, len(balls)) if shrinking else range(kept):
-                                picked = depth.copy()
-                                _put(picked, lo, hi, (a0, b0), balls[j])
-                                grown.append((picks + (options[j],), chosen + (i,), picked))
-                                stats.side_options += 1
-                                # picks are centered off the base's centers: no duplicates
-                                yield child_root, tuple(sorted(base + picks + (options[j],))), level, max(accumulate(picked))
-                            stats.dropped_options += 0 if shrinking else dead
+                        for j, pick in enumerate(options):
+                            a, b = row[pick.boundary]
+                            if limit in profile[max(a, lo) - lo : a0] or limit in profile[b0 : min(b, hi) - lo + 1]:
+                                dropped += len(options) - j
+                                stats.dropped_options += len(options) - j
+                                break
+                            picked = depth.copy()
+                            _put(picked, lo, hi, (a0, b0), (a, b))
+                            grown.append((picks + (pick,), i, picked))
+                            stats.side_options += 1
+                            # picks are centered off the base's centers: no duplicates
+                            yield child_root, tuple(sorted(base + picks + (pick,))), level, max(accumulate(picked))
     if dropped:
         yield None, (), INFEASIBLE, INFEASIBLE  # a split loop that reaches it is cut
 
@@ -454,13 +445,13 @@ class _Solver:
         """Optional extra ranges for the side [lo, hi], by center in ascending
         order: balls of future edges inside this side that reach into the rest
         of the interval but never leave it.  A center's balls are nested,
-        listed largest first on a left side and smallest first on a right side."""
+        listed smallest first on both sides."""
         sub_lo, sub_hi = key[:2]
         candidates: dict[int, list[Range]] = {}
         for center in range(lo, hi + 1):
             row = self.cover[center]
             # the root borders the side: only a boundary past the center, away from the root, reaches it
-            for boundary in range(lo, center) if lo == sub_lo else range(center + 1, hi + 1):
+            for boundary in range(center - 1, lo - 1, -1) if lo == sub_lo else range(center + 1, hi + 1):
                 a, b = row[boundary]
                 if (a < lo or b > hi) and sub_lo <= a and b <= sub_hi:
                     candidates.setdefault(center, []).append(Range(center, boundary))

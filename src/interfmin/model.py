@@ -304,10 +304,11 @@ def _strongly_connected(out: Sequence[Sequence[int]]) -> bool:
     return len(_reach(back, 0)) == n
 
 
-def _tree_order(instance: Instance1D, assignment: ReceiverAssignment) -> list[int]:
-    """The points that reach the sink, each listed after its receiver.  The
-    walk follows children lists from the sink with no `seen` list: every
-    point but the sink has one receiver, so no point is listed twice."""
+def _tree_order(instance: Instance1D, assignment: ReceiverAssignment) -> tuple[list[int], list[list[int]]]:
+    """The points that reach the sink, each listed after its receiver, and
+    every point's children.  The walk follows the children lists from the
+    sink with no `seen` list: every point but the sink has one receiver, so
+    no point is listed twice."""
     assignment.check_for(instance)
     children: list[list[int]] = [[] for _ in instance.ints]
     for p, q in assignment.receiver.items():
@@ -315,14 +316,14 @@ def _tree_order(instance: Instance1D, assignment: ReceiverAssignment) -> list[in
     order = [assignment.sink]
     for v in order:
         order += children[v]
-    return order
+    return order, children
 
 
 def is_valid(instance: Instance, assignment: ReceiverAssignment) -> bool:
     """Validity: strong connectivity (asym2d) or a rooted in-tree (sinktree1d)."""
     if assignment.model == ASYM2D:
         return _strongly_connected(_evaluate_2d(instance, assignment).out)
-    return len(_tree_order(instance, assignment)) == len(instance.ints)
+    return len(_tree_order(instance, assignment)[0]) == len(instance.ints)
 
 
 def _coverage_delta(instance: Instance1D, assignment: ReceiverAssignment) -> list[int]:
@@ -374,13 +375,13 @@ def verify_witness(instance: Instance, witness: ReceiverAssignment, optimum: int
         raise InvariantError(f"witness interference {recomputed} != reported optimum {optimum}")
 
 
-def _valid_tree_order(instance: Instance1D, assignment: ReceiverAssignment) -> list[int]:
+def _valid_tree_order(instance: Instance1D, assignment: ReceiverAssignment) -> tuple[list[int], list[list[int]]]:
     if assignment.model != SINKTREE1D:
         raise InputError("this predicate is defined for sinktree1d assignments")
-    order = _tree_order(instance, assignment)
+    order, children = _tree_order(instance, assignment)
     if len(order) != instance.n:
         raise InputError("assignment is not a valid sink tree")
-    return order
+    return order, children
 
 
 def cross_edges(instance: Instance1D, assignment: ReceiverAssignment) -> list[tuple[int, int]]:
@@ -388,11 +389,9 @@ def cross_edges(instance: Instance1D, assignment: ReceiverAssignment) -> list[tu
     the non-descendants of p are the points before p in either of two preorder walks
     from the sink that take each point's children in opposite orders, so p -> q crosses
     when, in some walk, the nearest point to p towards q ranked below p is not q."""
-    n = len(_valid_tree_order(instance, assignment))
+    children = _valid_tree_order(instance, assignment)[1]
+    n = len(children)
     receiver = assignment.receiver
-    children: list[list[int]] = [[] for _ in range(n)]
-    for p, q in receiver.items():
-        children[q].append(p)
     crossing = [False] * n
     for forward in (True, False):
         rank, todo = [0] * n + [-1], [assignment.sink]  # rank[-1] = -1: below every point

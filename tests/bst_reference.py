@@ -9,7 +9,7 @@ from interfmin import model
 def reference_bst_property(instance, assignment):
     """At most one child per side, and each point's descendant span as long
     as its descendant count."""
-    order = model._valid_tree_order(instance, assignment)
+    order, _ = model._valid_tree_order(instance, assignment)
     receiver = assignment.receiver
     if len({(q, p < q) for p, q in receiver.items()}) != len(receiver):  # two children on one side
         return False

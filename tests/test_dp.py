@@ -249,12 +249,17 @@ def test_extra_candidates_cover_the_root():
 
 
 def full_side_options(solver, sub, lo, hi):
-    """Every (child root, outgoing set) choice for the non-empty side [lo, hi],
-    built the way the DP built its whole list before it generated options by
-    root coverage."""
+    """Every (child root, outgoing set, extras) choice for the non-empty side
+    [lo, hi], built the way the DP built its whole list before it generated
+    options by root coverage: in (centers, picks) order.  The extras are the
+    (center, position) pairs of the picks, a center's nested balls taking
+    positions smallest first whatever order the DP lists them in."""
     sub_lo, sub_hi, root, _, outgoing = sub
     inherited = [r for r in outgoing if lo <= r.center <= hi]
-    candidates = solver._extra_candidates(sub, lo, hi)
+    candidates = {
+        c: sorted(balls, key=lambda r: abs(r.boundary - c))
+        for c, balls in sorted(solver._extra_candidates(sub, lo, hi).items())
+    }
     options = []
     for child_root in range(lo, hi + 1):
         if any(r.center == child_root and r.boundary != root for r in inherited):
@@ -268,8 +273,9 @@ def full_side_options(solver, sub, lo, hi):
         centers = [c for c in candidates if c not in taken_centers]
         for count in range(0, min(len(centers), solver.bound - len(base)) + 1):
             for chosen in combinations(centers, count):
-                for picks in product(*(candidates[c] for c in chosen)):
-                    options.append((child_root, tuple(sorted(base.union(picks)))))
+                for positions in product(*(range(len(candidates[c])) for c in chosen)):
+                    picks = [candidates[c][j] for c, j in zip(chosen, positions)]
+                    options.append((child_root, tuple(sorted(base.union(picks))), tuple(zip(chosen, positions))))
     return options
 
 
@@ -286,8 +292,10 @@ def read_side_options(solver, sub, lo, hi, budget):
 
 
 def test_lazy_side_options_are_the_full_list_by_coverage():
+    # A stream lists the full list by coverage level, child root and the
+    # lexicographic order of the (center, position) sequence of its extras.
     rng = random.Random(5150)
-    sides = 0
+    sides = reordered = 0
     for _ in range(16):
         n = rng.randint(3, 7)
         inst = Instance1D.from_values(rng.sample(range(0, 101), n))
@@ -301,19 +309,18 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
                 if lo > hi:
                     continue
                 full = full_side_options(reference, key, lo, hi)
-                coverage = {opt: sum(1 for r in opt[1] if covers(reference, r, root)) for opt in full}
+                coverage = {(r, out): sum(1 for ball in out if covers(reference, ball, root)) for r, out, _ in full}
                 assert len(coverage) == len(full)
+                order = sorted(full, key=lambda opt: (coverage[opt[:2]], opt[0], opt[2]))
+                # the order before, in (centers, picks) within each (coverage, child root)
+                reordered += order != sorted(full, key=lambda opt: (coverage[opt[:2]], opt[0]))
                 options, more = read_side_options(_Solver(inst, bound), key, lo, hi, INFEASIBLE)
                 assert not more
-                assert len(options) == len(full)
-                assert {(r, out): cov for r, out, cov, _ in options} == coverage, (inst.points, key)
-                assert [cov for _, _, cov, _ in options] == sorted(coverage.values())
+                want = [(r, out, coverage[r, out]) for r, out, _ in order]
+                assert [option[:3] for option in options] == want, (inst.points, key)
                 # each option carries the floor of its child key without incoming ranges
                 for r, out, _, floor in options:
                     assert floor == reference_floor(reference, (lo, hi, r, (), out)), (key, r, out)
-                # child roots ascend within each coverage level
-                levels = [(cov, r) for r, _, cov, _ in options]
-                assert levels == sorted(levels), (inst.points, key)
                 top = max(coverage.values(), default=-1)
                 growing = _Solver(inst, bound)  # one cache, budgets up then down
                 for budget in (*range(-2, top + 2), *range(top + 1, -3, -1)):
@@ -327,43 +334,62 @@ def test_lazy_side_options_are_the_full_list_by_coverage():
                     # on demand: at most one option past the budget is built
                     assert fresh.stats.side_options <= len(want) + 1, (key, budget)
                 sides += 1
-    assert sides > 400
+    assert sides > 400 and reordered > 0
+
+
+def check_live_side(inst, key, lo, hi, limits):
+    """Check the stream of the side [lo, hi] of key at each pass limit L: it
+    holds the options of the full list whose floor is at most L, in the order
+    of the full list sorted by (coverage, child root, the (center, position)
+    sequence of its extras), then one option past every ceiling if it dropped
+    any.  Return how many of these streams dropped an option and how many
+    differ from the (centers, picks) order within each (coverage, child root)."""
+    bound = size_bound(inst.n)
+    reference = _Solver(inst, bound)
+    full = []
+    for r, out, extras in full_side_options(reference, key, lo, hi):
+        coverage = sum(1 for ball in out if covers(reference, ball, key[2]))
+        full.append((r, out, coverage, reference_floor(reference, (lo, hi, r, (), out)), extras))
+    before = sorted(full, key=lambda option: (option[2], option[0]))
+    full.sort(key=lambda option: (option[2], option[0], option[4]))
+    dropped = reordered = 0
+    for limit in limits:
+        solver = _Solver(inst, bound)
+        solver.pass_limit = limit
+        options, _ = read_side_options(solver, key, lo, hi, INFEASIBLE)
+        want = [option[:4] for option in full if option[3] <= limit]
+        tail = [(None, (), INFEASIBLE, INFEASIBLE)] if len(want) < len(full) else []
+        assert options == want + tail, (inst.points, key, limit)
+        assert solver.stats.side_options == len(want)
+        assert solver.stats.dropped_options > 0 if tail else solver.stats.dropped_options == 0
+        dropped += bool(tail)
+        reordered += want != [option[:4] for option in before if option[3] <= limit]
+    return dropped, reordered
 
 
 def test_live_side_options_are_the_full_list_up_to_the_pass_limit():
-    # At pass limit L a stream holds the options of the full list whose floor
-    # is at most L, in the order of the full list stably sorted by (coverage,
-    # child root), then one option past every ceiling if it dropped any.
     rng = random.Random(5150)
     sides = dropped = 0
     for _ in range(16):
         n = rng.randint(3, 7)
         inst = Instance1D.from_values(rng.sample(range(0, 101), n))
-        bound = size_bound(n)
-        reference = _Solver(inst, bound)
+        reference = _Solver(inst, size_bound(n))
         optimum = min(reference.solve((0, n - 1, root, (), ())) for root in range(n))
         for key in sorted(exact_entries(reference), key=repr)[::2]:
             key_lo, key_hi, root = key[:3]
             for lo, hi in ((key_lo, root - 1), (root + 1, key_hi)):
                 if lo > hi:
                     continue
-                full = []
-                for r, out in full_side_options(reference, key, lo, hi):
-                    coverage = sum(1 for ball in out if covers(reference, ball, root))
-                    full.append((r, out, coverage, reference_floor(reference, (lo, hi, r, (), out))))
-                full.sort(key=lambda option: (option[2], option[0]))
-                for limit in range(1, optimum + 1):
-                    solver = _Solver(inst, bound)
-                    solver.pass_limit = limit
-                    options, _ = read_side_options(solver, key, lo, hi, INFEASIBLE)
-                    want = [option for option in full if option[3] <= limit]
-                    tail = [(None, (), INFEASIBLE, INFEASIBLE)] if len(want) < len(full) else []
-                    assert options == want + tail, (inst.points, key, limit)
-                    assert solver.stats.side_options == len(want)
-                    assert solver.stats.dropped_options > 0 if tail else solver.stats.dropped_options == 0
-                    dropped += bool(tail)
+                dropped += check_live_side(inst, key, lo, hi, range(1, optimum + 1))[0]
                 sides += 1
     assert sides > 400 and dropped > 100
+    # None of the streams above leaves the (centers, picks) order; this right
+    # side does.  Its mirror image is a left side whose nested balls must be
+    # listed smallest first too.
+    points = [3, 12, 26, 48, 60, 62, 83, 100]
+    assert check_live_side(Instance1D.from_values(points), (0, 7, 0, (), ()), 1, 7, [4]) == (1, 1)
+    mirror = Instance1D.from_values([103 - x for x in points])
+    assert check_live_side(mirror, (0, 7, 7, (), ()), 0, 6, [4]) == (1, 0)
 
 
 # sha256 over (n, seed, optimum, sink, receiver map) from solve_exact and
@@ -384,21 +410,26 @@ def test_dp_witnesses_golden_digest():
     assert digest.hexdigest() == DP_WITNESS_SHA256
 
 
-# Witnesses on random_instance_1d(9, seed, 100) recorded before splits were
-# visited in order of root coverage.  Both need a split whose root coverage
-# equals the best value so far to win the tie-break on its encoding.
+# Witnesses on random_instance_1d(n, seed, coord_max).  The two at n = 9 were
+# recorded before splits were visited in order of root coverage; both need a
+# split whose root coverage equals the best value so far to win the tie-break
+# on its encoding.  The one at n = 10 was recorded while side options came in
+# (centers, picks) order; the lexicographic (center, pick position) order
+# changes its search path (35 -> 38 subproblems) but not its witness.
 TIE_BREAK_WITNESSES = {
-    12: (3, 2, {0: 2, 1: 0, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 7}),
-    54: (3, 3, {0: 3, 1: 0, 2: 1, 4: 6, 5: 4, 6: 3, 7: 6, 8: 7}),
+    (9, 12, 100): (3, 2, {0: 2, 1: 0, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 7}),
+    (9, 54, 100): (3, 3, {0: 3, 1: 0, 2: 1, 4: 6, 5: 4, 6: 3, 7: 6, 8: 7}),
+    (10, 24, 30): (3, 3, {0: 3, 1: 2, 2: 0, 4: 3, 5: 4, 6: 7, 7: 5, 8: 7, 9: 8}),
 }
 
 
 def test_coverage_ties_keep_the_witness():
-    for seed, expected in TIE_BREAK_WITNESSES.items():
-        inst = random_instance_1d(9, seed, 100)
+    for case, expected in TIE_BREAK_WITNESSES.items():
+        inst = random_instance_1d(*case)
+        assert brute_force_1d(inst, cap=inst.n).optimum == expected[0], case
         for solver in (solve_exact, solve_opt_search):
             res = solver(inst)
-            assert (res.optimum, res.witness.sink, res.witness.receiver) == expected, (seed, solver.__name__)
+            assert (res.optimum, res.witness.sink, res.witness.receiver) == expected, (case, solver.__name__)
 
 
 # sha256 over (label, optimum, sink, receiver map) from solve_exact and
